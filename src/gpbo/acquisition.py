@@ -1,14 +1,17 @@
 """Improvement-based and confidence-bound acquisition values.
 
-All functions score a single posterior (mean, std) pair; the run loops
-compose them with a surrogate and hand the resulting surface to the global
-maximizer.
+The ``*_value`` functions score a single posterior (mean, std) pair;
+``AcquisitionSpec.values`` scores arrays of them with the same arithmetic,
+element for element.  The run loops compose the array form with a surrogate
+and hand the resulting surface to the global maximizer.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "AcquisitionSpec",
@@ -51,6 +54,27 @@ class AcquisitionSpec:
             return ei_value(mean, std, self.incumbent)
         return ucb_value(mean, std, self.beta)
 
+    def values(self, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
+        """``value`` over arrays of means and stds, bitwise equal element by element."""
+        mean = np.asarray(mean, dtype=float)
+        std = np.asarray(std, dtype=float)
+        if self.kind == "ucb":
+            return mean + math.sqrt(self.beta) * std
+        if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+            raise ValueError("mean and std must be finite")
+        if (std < 0).any():
+            raise ValueError("std must be non-negative")
+        spread = std > 0.0
+        gap = mean[spread] - self.incumbent
+        z = gap / std[spread]
+        if self.kind == "pi":
+            out = np.where(mean > self.incumbent, 1.0, 0.0)
+            out[spread] = _array_cdf(z)
+        else:
+            out = np.zeros_like(mean)
+            out[spread] = gap * _array_cdf(z) + std[spread] * _array_pdf(z)
+        return out
+
 
 def std_normal_cdf(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / _SQRT2))
@@ -58,6 +82,18 @@ def std_normal_cdf(z: float) -> float:
 
 def std_normal_pdf(z: float) -> float:
     return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
+
+
+# The array forms apply libm's erf and exp element by element, as the scalar
+# forms do, so both give bitwise equal values (and the same search).
+def _array_cdf(z: np.ndarray) -> np.ndarray:
+    scaled = z / _SQRT2
+    return 0.5 * (1.0 + np.fromiter(map(math.erf, scaled.tolist()), float, scaled.size))
+
+
+def _array_pdf(z: np.ndarray) -> np.ndarray:
+    exponent = -0.5 * z * z
+    return _INV_SQRT_2PI * np.fromiter(map(math.exp, exponent.tolist()), float, exponent.size)
 
 
 def _check_finite(**values: float) -> None:

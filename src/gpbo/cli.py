@@ -481,6 +481,11 @@ def main(argv: list[str] | None = None) -> int:
         overrides["out_dir"] = _resolve_out_dir(args.out, config.out_dir)
         config = replace(config, **overrides)
         status = run_experiment(config)
+        rows, _ = _load_rows(Path(config.out_dir))
+        if not rows:
+            print(f"every run failed; see {Path(config.out_dir) / 'failures.json'}",
+                  file=sys.stderr)
+            return 1
         for row in summarize(config.out_dir):
             print(f"{row.algorithm}: {row.metric} = {row.mean:.6f} +- {row.std:.6f}")
         return status

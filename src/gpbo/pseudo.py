@@ -156,21 +156,23 @@ def generate(
         parents = np.arange(count)
     else:
         parents = rng.integers(0, len(data), size=count)
-    points = np.empty((count, d))
     clipped = np.empty((count, d), dtype=bool)
-    taken = [data.points[i] for i in range(len(data))]
+    # Observed points, then the pseudo-points accepted so far.
+    n = len(data)
+    taken = np.empty((n + count, d))
+    taken[:n] = data.points
     for i, parent_idx in enumerate(parents):
         parent = data.points[parent_idx]
         for _ in range(_MAX_REDRAWS + 1):
             signs = rng.integers(0, 2, size=d) * 2.0 - 1.0
             candidate, flags = _displace(parent, signs, tau, domain)
-            if not any(np.all(np.abs(candidate - q) <= _COLLISION_TOL) for q in taken):
+            near = np.abs(taken[: n + i] - candidate) <= _COLLISION_TOL
+            if not near.all(axis=1).any():
                 break
-        points[i] = candidate
         clipped[i] = flags
-        taken.append(candidate)
+        taken[n + i] = candidate
     return PseudoPointSet(
-        points=points,
+        points=taken[n:],
         values=data.observations[parents].copy(),
         parent_index=np.asarray(parents, dtype=int),
         tau=tau,

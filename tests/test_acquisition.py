@@ -168,6 +168,27 @@ class TestAcquisitionSpec:
             1.0 / math.sqrt(2 * math.pi)
         )
 
+    @pytest.mark.parametrize("kind", ["pi", "ei", "ucb"])
+    def test_array_values_bitwise_equal_scalar(self, kind):
+        rng = np.random.default_rng(31)
+        mean = np.concatenate([rng.normal(size=400), [0.3, 0.3, 0.2, 0.4, -1e-300]])
+        std = np.concatenate([np.abs(rng.normal(size=400)) * 10.0 ** rng.uniform(-9, 1, 400),
+                              [0.0, 1e-300, 0.0, 0.0, 0.0]])
+        std[::7] = 0.0
+        spec = acq.AcquisitionSpec(kind, incumbent=0.3, beta=3.7)
+        values = spec.values(mean, std)
+        expected = np.array([spec.value(float(m), float(s)) for m, s in zip(mean, std)])
+        assert values.shape == mean.shape
+        np.testing.assert_array_equal(values.view(np.int64), expected.view(np.int64))
+
+    @pytest.mark.parametrize("kind", ["pi", "ei"])
+    def test_array_values_reject_bad_inputs(self, kind):
+        spec = acq.AcquisitionSpec(kind, incumbent=0.0)
+        with pytest.raises(ValueError):
+            spec.values(np.array([0.0, math.nan]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError):
+            spec.values(np.array([0.0]), np.array([-1.0]))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             acq.AcquisitionSpec("entropy")

@@ -11,6 +11,8 @@ import pytest
 from gpbo import cli
 from gpbo.cli import AlgorithmSpec, ExperimentConfig, config_from_dict, run_experiment, summarize
 from gpbo.direct import DirectConfig
+from gpbo.domain import unit_symmetric
+from gpbo.objectives import Objective
 
 
 def tiny_config(tmp_path, **overrides) -> ExperimentConfig:
@@ -39,7 +41,7 @@ def fast_direct(monkeypatch):
 
     monkeypatch.setattr(
         engine, "_direct_config",
-        lambda config, dim: DirectConfig(max_evaluations=40, local_polish=False),
+        lambda config, dim: DirectConfig(max_evaluations=40),
     )
 
 
@@ -282,6 +284,25 @@ class TestMainEntry:
         assert "ucb" in capsys.readouterr().out
         status = cli.main(["summarize", "--out", str(out_dir)])
         assert status == 0
+
+    def test_run_exits_one_when_every_run_fails(self, tmp_path, monkeypatch, capsys):
+        def broken(_name):
+            def evaluate(x):
+                raise RuntimeError("evaluator down")
+
+            return Objective("griewank", unit_symmetric(2), evaluate, optimum_value=0.0)
+
+        monkeypatch.setattr(cli, "make_synthetic", broken)
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({
+            "objective": "griewank", "algorithms": ["ucb", "ucb-pp01"], "repeats": 2,
+            "budget": 2, "initial_points": 2, "seed": 0,
+        }))
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 1
+        assert "every run failed" in capsys.readouterr().err
+        assert len(json.loads((out_dir / "failures.json").read_text())) == 4
+        assert not (out_dir / "summary.csv").exists()
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "env_out"))

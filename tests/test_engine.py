@@ -20,7 +20,7 @@ from gpbo.engine import (
 from gpbo.objectives import make_synthetic
 from gpbo.pseudo import PseudoSchedule
 
-FAST_DIRECT = DirectConfig(max_evaluations=60, local_polish=False)
+FAST_DIRECT = DirectConfig(max_evaluations=60)
 
 
 def fast_config(**overrides):

@@ -124,6 +124,28 @@ class TestPosterior:
             assert abs(mean - mean_o) / scale < 1e-9
             assert abs(var - max(var_o, 0.0)) / max(1.0, var_o) < 1e-9
 
+    def test_batched_predict_matches_pointwise_posterior(self):
+        # Bitwise, not to a tolerance: a batched search must score each point
+        # exactly as a single query at the returned argmax does.  Noise 1e-4
+        # at n = 105 is ill-conditioned enough that a BLAS gemv and a dot
+        # product disagree there in the 11th digit.
+        rng = np.random.default_rng(77)
+        for n, noise in ((0, 1e-3), (1, 1e-3), (12, 1e-3), (60, 1e-3), (105, 1e-4)):
+            d = int(rng.integers(1, 7)) if n < 105 else 2
+            params = random_params(rng, d, noise=noise)
+            base = gp.build_model(random_dataset(rng, n, d), params, mean_offset=0.4)
+            extra = Dataset(base.data.points[: n // 2] + 1e-3, base.data.observations[: n // 2])
+            for model in (base, gp.augment(base, extra)):
+                queries = np.vstack([rng.uniform(-1, 1, (300, d)), model.data.points[:3]])
+                mean, var = gp.predict(model, queries)
+                pointwise = np.array([gp.posterior(model, q) for q in queries])
+                np.testing.assert_array_equal(mean, pointwise[:, 0])
+                np.testing.assert_array_equal(var, pointwise[:, 1])
+                for size in (2, 7, 26):
+                    part_mean, part_var = gp.predict(model, queries[5 : 5 + size])
+                    np.testing.assert_array_equal(part_mean, mean[5 : 5 + size])
+                    np.testing.assert_array_equal(part_var, var[5 : 5 + size])
+
     def test_variance_bounds(self):
         rng = np.random.default_rng(8)
         p = random_params(rng, 3)

@@ -30,6 +30,30 @@ def generated(rng, data, tau0=0.02, domain=None):
     return pseudo.generate(data, PseudoSchedule(tau0=tau0), domain, rng)
 
 
+def reference_generate(data, schedule, domain, rng):
+    """The scalar collision scan: every candidate against a Python list of
+    every point taken so far."""
+    count = schedule.points_for(len(data))
+    tau = schedule.tau_for(domain.dimension, count)
+    if schedule.mode == "per_observation":
+        parents = np.arange(count)
+    else:
+        parents = rng.integers(0, len(data), size=count)
+    taken = [data.points[i] for i in range(len(data))]
+    points, clipped = [], []
+    for parent_idx in parents:
+        for _ in range(pseudo._MAX_REDRAWS + 1):
+            signs = rng.integers(0, 2, size=domain.dimension) * 2.0 - 1.0
+            candidate, flags = pseudo._displace(data.points[parent_idx], signs, tau, domain)
+            if not any(np.all(np.abs(candidate - q) <= pseudo._COLLISION_TOL) for q in taken):
+                break
+        points.append(candidate)
+        clipped.append(flags)
+        taken.append(candidate)
+    return PseudoPointSet(np.array(points), data.observations[parents].copy(),
+                          np.asarray(parents, dtype=int), tau, np.array(clipped))
+
+
 class TestGenerate:
     def test_disabled_schedule_yields_empty(self):
         rng = np.random.default_rng(0)
@@ -118,6 +142,25 @@ class TestGenerate:
         schedule = PseudoSchedule(tau0=0.15, domain_width=2.0)  # tau = 0.1
         pp = pseudo.generate(data, schedule, unit_symmetric(1), rng)
         assert len(pp) == 3
+
+    @pytest.mark.parametrize("tau0", [0.018, 1e-12])
+    def test_collision_scan_matches_scalar_reference(self, tau0):
+        # Duplicate parents at a box corner (every sign flips back inside, so
+        # all their candidates coincide) and at an interior point; the tiny
+        # tau0 puts every candidate within the collision tolerance of its parent.
+        corner, inner = np.ones(3), np.array([0.2, -0.4, 0.1])
+        data = Dataset(np.array([corner, corner, corner, inner, inner, inner]),
+                       np.arange(6.0))
+        schedule = PseudoSchedule(tau0=tau0, mode="fixed", count=12)
+        domain = unit_symmetric(3)
+        rng = np.random.default_rng(12)
+        pp = pseudo.generate(data, schedule, domain, rng)
+        ref_rng = np.random.default_rng(12)
+        ref = reference_generate(data, schedule, domain, ref_rng)
+        for name in ("points", "values", "parent_index", "clipped"):
+            np.testing.assert_array_equal(getattr(pp, name), getattr(ref, name))
+        assert pp.tau == ref.tau
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_fixed_mode_count(self):
         rng = np.random.default_rng(10)
