@@ -9,24 +9,11 @@ suite for the closed-form posterior-correction identities.
 from .acquisition import AcquisitionSpec, beta_schedule, ei_value, pi_value, ucb_value
 from .direct import DirectConfig, maximize
 from .domain import BoxDomain, unit_symmetric
-from .engine import (
-    RegretTrace,
-    RunConfig,
-    TheoryParams,
-    evaluate_regret_bound,
-    run_bo,
-    run_bopp,
-)
+from .engine import RegretTrace, RunConfig, run_bo, run_bopp
 from .gp import Dataset, FitConfig, GpModel, KernelParams, fit, log_likelihood, posterior
 from .objectives import NoiseModel, Objective, external_objective, make_synthetic, observe
-from .pseudo import (
-    PseudoPointSet,
-    PseudoSchedule,
-    augmented_posterior,
-    generate,
-    mean_shift,
-    variance_reduction,
-)
+from .pseudo import PseudoPointSet, PseudoSchedule, generate, mean_shift, variance_reduction
+from .theory import TheoryParams, evaluate_regret_bound
 
 __version__ = "0.1.0"
 
@@ -45,7 +32,6 @@ __all__ = [
     "RegretTrace",
     "RunConfig",
     "TheoryParams",
-    "augmented_posterior",
     "beta_schedule",
     "ei_value",
     "evaluate_regret_bound",

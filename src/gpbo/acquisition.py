@@ -47,15 +47,9 @@ class AcquisitionSpec:
         if self.kind in ("pi", "ei") and not math.isfinite(self.incumbent):
             raise ValueError("incumbent must be finite for pi/ei")
 
-    def value(self, mean: float, std: float) -> float:
-        if self.kind == "pi":
-            return pi_value(mean, std, self.incumbent)
-        if self.kind == "ei":
-            return ei_value(mean, std, self.incumbent)
-        return ucb_value(mean, std, self.beta)
-
     def values(self, mean: np.ndarray, std: np.ndarray) -> np.ndarray:
-        """``value`` over arrays of means and stds, bitwise equal element by element."""
+        """The acquisition over arrays of means and stds, bitwise equal element by
+        element to ``pi_value``, ``ei_value`` or ``ucb_value``."""
         mean = np.asarray(mean, dtype=float)
         std = np.asarray(std, dtype=float)
         if self.kind == "ucb":
@@ -132,31 +126,12 @@ def ucb_value(mean: float, std: float, beta: float) -> float:
     return mean + math.sqrt(beta) * std
 
 
-def beta_schedule(
-    t: int,
-    d: int,
-    delta: float,
-    mode: str = "experiment",
-    theory: "TheoryParams | None" = None,
-) -> float:
-    """Confidence-width schedule for ucb at iteration ``t`` in dimension ``d``.
-
-    ``experiment`` mode is 2*log(t^(d/2+2) * pi^2 / (3*delta)).  ``theorem``
-    mode additionally needs the derivative-tail constants and domain width
-    carried by a TheoryParams and evaluates
-    2*log(2*pi^2*t^2/(3*delta)) + 2*d*log(t^2*d*b*r*sqrt(log(4*d*a/delta))).
+def beta_schedule(t: int, d: int, delta: float) -> float:
+    """Confidence-width schedule for ucb at iteration ``t`` in dimension ``d``:
+    2*log(t^(d/2+2) * pi^2 / (3*delta)).
     """
     if t < 1:
         raise ValueError("t must be a positive integer")
     if not (0.0 < delta < 1.0):
         raise ValueError("delta must lie strictly inside (0, 1)")
-    if mode == "experiment":
-        return 2.0 * math.log(t ** (d / 2.0 + 2.0) * math.pi**2 / (3.0 * delta))
-    if mode == "theorem":
-        if theory is None:
-            raise ValueError("theorem mode requires TheoryParams")
-        inner = t**2 * d * theory.tail_b * theory.domain_width * math.sqrt(
-            math.log(4.0 * d * theory.tail_a / delta)
-        )
-        return 2.0 * math.log(2.0 * math.pi**2 * t**2 / (3.0 * delta)) + 2.0 * d * math.log(inner)
-    raise ValueError(f"unknown beta schedule mode {mode!r}")
+    return 2.0 * math.log(t ** (d / 2.0 + 2.0) * math.pi**2 / (3.0 * delta))

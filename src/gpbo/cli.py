@@ -28,7 +28,7 @@ import numpy as np
 
 from . import theory
 from .domain import BoxDomain
-from .engine import RegretTrace, RunConfig, TheoryParams, run_bo, run_bopp
+from .engine import RegretTrace, RunConfig, run_bo, run_bopp
 from .gp import FitConfig
 from .objectives import SYNTHETIC_NAMES, Objective, external_objective, make_synthetic
 from .pseudo import PseudoSchedule
@@ -116,7 +116,18 @@ class ExperimentConfig:
         return d
 
 
+_CONFIG_KEYS = frozenset({
+    "objective", "algorithms", "repeats", "budget", "initial_points", "seed",
+    "noise_variance", "delta", "standardize", "out_dir", "jobs", "external",
+})
+
+
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    unknown = sorted(set(raw) - _CONFIG_KEYS)
+    if unknown:
+        raise ValueError(
+            f"unknown config keys: {', '.join(unknown)}; valid keys: {', '.join(sorted(_CONFIG_KEYS))}"
+        )
     algorithms = []
     for entry in raw.get("algorithms", ["ucb"]):
         if isinstance(entry, str):
@@ -406,7 +417,7 @@ def verify(seed: int, instances: int, report_path: str | Path | None = None,
             theory.TheoryInstance(dimension=1, n_base=4, n_pseudo=2, tau=0.05,
                                   noise_variance=1e-2, seed=seed),
             trials=envelope_trials,
-            theory=TheoryParams(),
+            theory=theory.TheoryParams(),
         )
     )
     ok = all(r.passed for r in reports)

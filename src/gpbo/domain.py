@@ -41,20 +41,17 @@ class BoxDomain:
     def center(self) -> np.ndarray:
         return 0.5 * (self.lower + self.upper)
 
-    def contains(self, x: np.ndarray, atol: float = 0.0) -> bool:
+    def contains(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float)
         return bool(
             x.shape == self.lower.shape
-            and np.all(x >= self.lower - atol)
-            and np.all(x <= self.upper + atol)
+            and np.all(x >= self.lower)
+            and np.all(x <= self.upper)
         )
 
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Draw ``n`` uniform points, returned as an (n, d) array."""
         return rng.uniform(self.lower, self.upper, size=(n, self.dimension))
-
-    def clip(self, x: np.ndarray) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
 
 
 def unit_symmetric(dimension: int) -> BoxDomain:

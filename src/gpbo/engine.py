@@ -1,4 +1,4 @@
-"""Sequential optimization loops with regret tracking and bound evaluation.
+"""Sequential optimization loops with regret tracking.
 
 ``run_bo`` is the plain loop: fit hyper-parameters, maximize an acquisition
 surface over the domain, evaluate, append.  ``run_bopp`` additionally
@@ -16,7 +16,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -26,18 +26,7 @@ from .gp import Dataset, FitConfig, KernelParams, empty_dataset
 from .objectives import NoiseModel, Objective, observe
 from .pseudo import PseudoSchedule, disabled_schedule
 
-__all__ = [
-    "RunConfig",
-    "RegretTrace",
-    "TheoryParams",
-    "RegretBoundResult",
-    "run_bo",
-    "run_bopp",
-    "evaluate_regret_bound",
-    "mean_error_bound",
-    "theorem_mean_error_bound",
-    "info_gain_increment",
-]
+__all__ = ["RunConfig", "RegretTrace", "run_bo", "run_bopp"]
 
 logger = logging.getLogger(__name__)
 
@@ -64,7 +53,6 @@ class RunConfig:
     noise_variance: float = 1e-4
     pseudo: PseudoSchedule = field(default_factory=disabled_schedule)
     seed: int = 0
-    fit_every: int = 1
     standardize: bool = True
     unit_amplitude: bool = False
     fit: FitConfig = field(default_factory=FitConfig)
@@ -75,8 +63,6 @@ class RunConfig:
             raise ValueError("budget must be at least 1")
         if self.initial_points < 0:
             raise ValueError("initial_points must be non-negative")
-        if self.fit_every < 1:
-            raise ValueError("fit_every must be at least 1")
         if self.acquisition_kind not in ("pi", "ei", "ucb"):
             raise ValueError(f"unknown acquisition kind {self.acquisition_kind!r}")
         if self.standardize and self.unit_amplitude:
@@ -127,51 +113,9 @@ class RegretTrace:
                          self.init_observations.max(initial=-np.inf)))
 
     def payload(self) -> dict[str, np.ndarray]:
-        """The deterministic arrays (everything except wall-clock timing)."""
-        return {
-            "init_points": self.init_points,
-            "init_observations": self.init_observations,
-            "points": self.points,
-            "observations": self.observations,
-            "true_values": self.true_values,
-            "instant_regret": self.instant_regret,
-            "simple_regret": self.simple_regret,
-            "cumulative_regret": self.cumulative_regret,
-            "delta_v": self.delta_v,
-            "beta": self.beta,
-            "info_gain": self.info_gain,
-            "pseudo_counts": self.pseudo_counts,
-            "taus": self.taus,
-            "lengthscales": self.lengthscales,
-            "amplitudes": self.amplitudes,
-        }
-
-
-@dataclass(frozen=True)
-class TheoryParams:
-    """Constants entering the theoretical schedule and regret bound.
-
-    ``tail_a``/``tail_b`` parameterize the high-probability bound
-    a*exp(-(L/b)^2) on the objective's partial-derivative tails;
-    ``lipschitz`` is an explicit slope bound used where one is known;
-    ``domain_width`` is the width of each coordinate of the search box.
-    """
-
-    tail_a: float = 1.0
-    tail_b: float = 1.0
-    lipschitz: float = 1.0
-    domain_width: float = 2.0
-    delta: float = 0.1
-
-    def __post_init__(self):
-        if min(self.tail_a, self.tail_b, self.lipschitz, self.domain_width) <= 0:
-            raise ValueError("all theory constants must be positive")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError("delta must lie strictly inside (0, 1)")
-
-
-def info_gain_increment(selection_variance: float, noise_variance: float) -> float:
-    return 0.5 * math.log1p(selection_variance / noise_variance)
+        """The deterministic arrays: every array field except wall-clock timing."""
+        arrays = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_ms"}
+        return {name: value for name, value in arrays.items() if isinstance(value, np.ndarray)}
 
 
 def _initial_params(dimension: int, config: RunConfig) -> KernelParams:
@@ -252,7 +196,7 @@ def _run(objective: Objective, config: RunConfig, schedule: PseudoSchedule) -> R
             if (shift, scale) != (0.0, 1.0)
             else data
         )
-        if len(data) > 0 and (t - 1) % config.fit_every == 0:
+        if len(data) > 0:
             try:
                 params = gp.fit(fit_data, params, fit_config)
             except gp.FactorizationError as exc:
@@ -265,7 +209,7 @@ def _run(objective: Objective, config: RunConfig, schedule: PseudoSchedule) -> R
         selection_model = pseudo.augmented_model(model, pp)
 
         if config.acquisition_kind == "ucb":
-            beta = acq.beta_schedule(t, d, config.delta, mode="experiment")
+            beta = acq.beta_schedule(t, d, config.delta)
             spec = acq.AcquisitionSpec(kind="ucb", beta=beta)
             out.beta[t - 1] = beta
         else:
@@ -282,7 +226,7 @@ def _run(objective: Objective, config: RunConfig, schedule: PseudoSchedule) -> R
         x_next, _ = direct.maximize(surface, objective.domain, direct_config, vectorized=True)
 
         _, sel_var = gp.posterior(selection_model, x_next)
-        gain += info_gain_increment(sel_var, params.noise_variance)
+        gain += 0.5 * math.log1p(sel_var / params.noise_variance)
         if len(pp):
             out.delta_v[t - 1] = pseudo.variance_reduction(model, pp, x_next)
 
@@ -322,93 +266,3 @@ def run_bo(objective: Objective, config: RunConfig) -> RegretTrace:
 def run_bopp(objective: Objective, config: RunConfig) -> RegretTrace:
     """Sequential optimization with pseudo-point-augmented selection."""
     return _run(objective, config, config.pseudo)
-
-
-def mean_error_bound(
-    pseudo_count: int,
-    tau: float,
-    lipschitz: float,
-    noise_variance: float,
-    total_pseudo: int,
-    delta: float,
-    dimension: int,
-) -> float:
-    """High-probability envelope for the posterior-mean error of one round.
-
-    l^2 * sqrt(1 + 1/noise) * (L*d*tau/sigma + 2*sqrt(log(4*total/delta)))
-    with l the round's pseudo-point count and total the sum of counts over
-    the whole run.  A round with no pseudo-points contributes zero.
-    """
-    if pseudo_count == 0:
-        return 0.0
-    sigma = math.sqrt(noise_variance)
-    slope_term = lipschitz * dimension * tau / sigma
-    noise_term = 2.0 * math.sqrt(math.log(4.0 * total_pseudo / delta))
-    return pseudo_count**2 * math.sqrt(1.0 + 1.0 / noise_variance) * (slope_term + noise_term)
-
-
-def theorem_mean_error_bound(
-    pseudo_count: int,
-    tau: float,
-    theory: TheoryParams,
-    noise_variance: float,
-    total_pseudo: int,
-    dimension: int,
-) -> float:
-    """The schedule-form envelope: the explicit slope bound is replaced by
-    tail_b*sqrt(log(4*d*tail_a/delta))."""
-    lipschitz = theory.tail_b * math.sqrt(math.log(4.0 * dimension * theory.tail_a / theory.delta))
-    return mean_error_bound(
-        pseudo_count, tau, lipschitz, noise_variance, total_pseudo, theory.delta, dimension
-    )
-
-
-@dataclass(frozen=True)
-class RegretBoundResult:
-    """Numerical evaluation of the cumulative-regret envelope for one trace."""
-
-    bound: float
-    mean_error_terms: tuple[float, ...]
-    info_gain: float
-    beta_final: float
-    capacity_constant: float
-
-
-def evaluate_regret_bound(
-    trace: RegretTrace,
-    theory: TheoryParams,
-    pseudo_counts: np.ndarray | None = None,
-    taus: np.ndarray | None = None,
-) -> RegretBoundResult:
-    """Evaluate sqrt(C*T*beta_T*gain) + 2 + 2*sum(mean-error terms) for a trace.
-
-    ``gain`` is the trace's empirical information-gain proxy, substituted for
-    the worst-case capacity term, so the number is diagnostic rather than a
-    certified bound.  Requires a unit-amplitude trace (the formulas assume
-    unit prior variance).  With no pseudo-points anywhere the expression
-    collapses to sqrt(C*T*beta_T*gain) + 2.
-    """
-    if not trace.unit_amplitude:
-        raise ValueError("regret bound evaluation requires a unit-amplitude trace")
-    counts = trace.pseudo_counts if pseudo_counts is None else np.asarray(pseudo_counts)
-    tau_list = trace.taus if taus is None else np.asarray(taus, dtype=float)
-    if counts.shape != tau_list.shape:
-        raise ValueError("pseudo_counts and taus must have equal length")
-    t_total = len(trace)
-    noise = trace.noise_variance
-    capacity = 8.0 / math.log1p(1.0 / noise)
-    beta_final = acq.beta_schedule(t_total, trace.dimension, theory.delta, mode="theorem", theory=theory)
-    total = int(np.sum(counts))
-    terms = tuple(
-        theorem_mean_error_bound(int(l), float(tau), theory, noise, total, trace.dimension)
-        for l, tau in zip(counts, tau_list)
-    )
-    gain = float(trace.info_gain[-1])
-    bound = math.sqrt(capacity * t_total * beta_final * gain) + 2.0 + 2.0 * sum(terms)
-    return RegretBoundResult(
-        bound=bound,
-        mean_error_terms=terms,
-        info_gain=gain,
-        beta_final=beta_final,
-        capacity_constant=capacity,
-    )

@@ -22,7 +22,6 @@ __all__ = [
     "FitConfig",
     "GpModel",
     "FactorizationError",
-    "kernel",
     "kernel_matrix",
     "build_model",
     "posterior",
@@ -111,18 +110,6 @@ class KernelParams:
     @property
     def dimension(self) -> int:
         return self.lengthscales.shape[0]
-
-
-def kernel(a: np.ndarray, b: np.ndarray, params: KernelParams) -> float:
-    """Covariance between two points: amplitude * exp(-0.5 * sum(((a-b)/ls)^2))."""
-    a = np.asarray(a, dtype=float).reshape(-1)
-    b = np.asarray(b, dtype=float).reshape(-1)
-    if a.shape != b.shape or a.shape[0] != params.dimension:
-        raise ValueError("point dimensions must match the lengthscale vector")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("kernel inputs must be finite")
-    z = (a - b) / params.lengthscales
-    return params.amplitude * math.exp(-0.5 * float(z @ z))
 
 
 def kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
@@ -241,7 +228,9 @@ def augment(model: GpModel, extra: Dataset) -> GpModel:
 
     The result's posterior matches a from-scratch rebuild on the concatenated
     data; the base factor is reused, only the new block is factorized.  The
-    base model's mean offset also centers the extra observations.
+    base model's mean offset also centers the extra observations.  When the
+    new block is not positive definite without extra jitter, the joint data
+    is factorized from scratch instead, so ``jitter`` stays exact.
     """
     if len(extra) == 0:
         return model
@@ -254,19 +243,22 @@ def augment(model: GpModel, extra: Dataset) -> GpModel:
     cross = kernel_matrix(base.points, extra.points, params)
     corner = kernel_matrix(extra.points, extra.points, params)
     corner[np.diag_indices_from(corner)] += params.noise_variance + model.jitter
-    # L21 solves L11 @ L21.T = cross; the Schur complement gets its own jitter.
+    # L21 solves L11 @ L21.T = cross; L22 factors the Schur complement.
     l21 = solve_triangular(model.factor, cross, lower=True).T
-    schur = corner - l21 @ l21.T
-    l22, _ = _chol_with_jitter(schur)
+    l22, jitter = _chol_with_jitter(corner - l21 @ l21.T)
+    joint = Dataset(
+        np.vstack([base.points, extra.points]),
+        np.concatenate([base.observations, extra.observations]),
+    )
+    if jitter > 0.0:
+        # The new block needs more jitter than the base factor carries; one
+        # factorization of the joint matrix records a single jitter for all rows.
+        return build_model(joint, params, model.mean_offset)
     n_old, n_new = len(base), len(extra)
     factor = np.zeros((n_old + n_new, n_old + n_new))
     factor[:n_old, :n_old] = model.factor
     factor[n_old:, :n_old] = l21
     factor[n_old:, n_old:] = l22
-    joint = Dataset(
-        np.vstack([base.points, extra.points]),
-        np.concatenate([base.observations, extra.observations]),
-    )
     centered = joint.observations - model.mean_offset
     w = solve_triangular(factor, centered, lower=True)
     w = solve_triangular(factor.T, w, lower=False)
@@ -278,13 +270,8 @@ def log_likelihood(data: Dataset, params: KernelParams) -> float:
     if len(data) == 0:
         raise ValueError("log likelihood requires a non-empty dataset")
     model = build_model(data, params)
-    return _log_likelihood_from_model(model)
-
-
-def _log_likelihood_from_model(model: GpModel) -> float:
     t = len(model)
-    centered = model.data.observations - model.mean_offset
-    quad = float(centered @ model.weight_vector)
+    quad = float(data.observations @ model.weight_vector)
     logdet = 2.0 * float(np.sum(np.log(np.diag(model.factor))))
     return -0.5 * quad - 0.5 * logdet - 0.5 * t * math.log(2.0 * math.pi)
 
@@ -294,22 +281,18 @@ class FitConfig:
     """Settings for maximum-likelihood hyper-parameter selection.
 
     The optimizer is a seeded multi-start L-BFGS search in log-parameter
-    space.  Observation noise stays fixed unless ``optimize_noise`` is set;
-    ``fix_amplitude`` pins the signal variance at its initial value (used by
-    the unit-amplitude mode of the run loops).  ``rng`` may hold a caller-owned
-    generator so repeated fits share one draw stream; when None each call uses
-    a fresh generator seeded with ``start_seed``.
+    space; observation noise stays fixed.  ``fix_amplitude`` pins the signal
+    variance at its initial value (used by the unit-amplitude mode of the run
+    loops).  ``rng`` may hold a caller-owned generator so repeated fits share
+    one draw stream; when None each call uses a fresh generator seeded with 0.
     """
 
     n_starts: int = 8
     max_iter: int = 40
-    optimize_noise: bool = False
     fix_amplitude: bool = False
     lengthscale_bounds: tuple[float, float] = (1e-3, 1e3)
     amplitude_bounds: tuple[float, float] = (1e-10, 1e10)
-    noise_bounds: tuple[float, float] = (1e-12, 1e2)
     lengthscale_sample_range: tuple[float, float] = (0.05, 2.0)
-    start_seed: int = 0
     rng: np.random.Generator | None = field(default=None, compare=False)
 
 
@@ -326,19 +309,13 @@ def _nll_and_grad(
     sq_diffs: np.ndarray,
     config: FitConfig,
     fixed_amplitude: float,
-    fixed_noise: float,
+    noise: float,
 ) -> tuple[float, np.ndarray]:
     """Negative log likelihood and its gradient in log-parameter space."""
     d = points.shape[1]
     t = points.shape[0]
     ls = np.exp(log_theta[:d])
-    idx = d
-    if config.fix_amplitude:
-        amp = fixed_amplitude
-    else:
-        amp = math.exp(log_theta[idx])
-        idx += 1
-    noise = math.exp(log_theta[idx]) if config.optimize_noise else fixed_noise
+    amp = fixed_amplitude if config.fix_amplitude else math.exp(log_theta[d])
 
     expo = np.einsum("kij,k->ij", sq_diffs, 0.5 / np.square(ls))
     gram = amp * np.exp(-expo)
@@ -362,12 +339,8 @@ def _nll_and_grad(
     wk = w * gram
     for j in range(d):
         grad[j] = -0.5 * float(np.sum(wk * sq_diffs[j])) / ls[j] ** 2
-    idx = d
     if not config.fix_amplitude:
-        grad[idx] = -0.5 * float(np.sum(wk))
-        idx += 1
-    if config.optimize_noise:
-        grad[idx] = -0.5 * noise * float(np.trace(w))
+        grad[d] = -0.5 * float(np.sum(wk))
     return nll, grad
 
 
@@ -375,23 +348,13 @@ def _pack(params: KernelParams, config: FitConfig) -> np.ndarray:
     parts = [np.log(params.lengthscales)]
     if not config.fix_amplitude:
         parts.append([math.log(params.amplitude)])
-    if config.optimize_noise:
-        parts.append([math.log(params.noise_variance)])
     return np.concatenate(parts)
 
 
 def _unpack(log_theta: np.ndarray, template: KernelParams, config: FitConfig) -> KernelParams:
     d = template.dimension
-    ls = np.exp(log_theta[:d])
-    idx = d
-    amp = template.amplitude
-    if not config.fix_amplitude:
-        amp = math.exp(log_theta[idx])
-        idx += 1
-    noise = template.noise_variance
-    if config.optimize_noise:
-        noise = math.exp(log_theta[idx])
-    return KernelParams(ls, amp, noise)
+    amp = template.amplitude if config.fix_amplitude else math.exp(log_theta[d])
+    return KernelParams(np.exp(log_theta[:d]), amp, template.noise_variance)
 
 
 def fit(data: Dataset, init: KernelParams, config: FitConfig = FitConfig()) -> KernelParams:
@@ -408,13 +371,11 @@ def fit(data: Dataset, init: KernelParams, config: FitConfig = FitConfig()) -> K
     d = data.dimension
     y = data.observations
     sq_diffs = _sq_diff_stack(data.points)
-    rng = config.rng if config.rng is not None else np.random.default_rng(config.start_seed)
+    rng = config.rng if config.rng is not None else np.random.default_rng(0)
 
     bounds = [tuple(np.log(config.lengthscale_bounds))] * d
     if not config.fix_amplitude:
         bounds.append(tuple(np.log(config.amplitude_bounds)))
-    if config.optimize_noise:
-        bounds.append(tuple(np.log(config.noise_bounds)))
 
     lo_ls, hi_ls = config.lengthscale_sample_range
     var_y = float(np.var(y))
@@ -425,8 +386,6 @@ def fit(data: Dataset, init: KernelParams, config: FitConfig = FitConfig()) -> K
         draw = [rng.uniform(math.log(lo_ls), math.log(hi_ls), size=d)]
         if not config.fix_amplitude:
             draw.append(rng.uniform(math.log(amp_center) - math.log(10), math.log(amp_center) + math.log(10), size=1))
-        if config.optimize_noise:
-            draw.append(np.array([math.log(init.noise_variance)]))
         starts.append(np.concatenate(draw))
 
     args = (data.points, y, sq_diffs, config, init.amplitude, init.noise_variance)
@@ -448,14 +407,3 @@ def fit(data: Dataset, init: KernelParams, config: FitConfig = FitConfig()) -> K
             best_nll = res.fun
             best_theta = res.x
     return _unpack(best_theta, init, config)
-
-
-def reconstruction_error(model: GpModel) -> float:
-    """Relative error of factor @ factor.T against K + noise*I (+jitter)."""
-    if len(model) == 0:
-        return 0.0
-    gram = kernel_matrix(model.data.points, model.data.points, model.params)
-    gram[np.diag_indices_from(gram)] += model.params.noise_variance + model.jitter
-    err = np.abs(model.factor @ model.factor.T - gram)
-    return float(err.max() / np.abs(gram).max())
-

@@ -47,7 +47,6 @@ class Objective:
     batch_evaluate: Callable[[np.ndarray], np.ndarray]
     optimum_value: float | None = None
     optimum_point: np.ndarray | None = None
-    direction: str = "maximize"
 
     @property
     def dimension(self) -> int:

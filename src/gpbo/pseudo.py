@@ -25,7 +25,6 @@ __all__ = [
     "PseudoSchedule",
     "generate",
     "augmented_model",
-    "augmented_posterior",
     "variance_reduction",
     "mean_shift",
     "correction_terms",
@@ -187,11 +186,6 @@ def augmented_model(model: GpModel, pp: PseudoPointSet) -> GpModel:
     return gp.augment(model, Dataset(pp.points, pp.values))
 
 
-def augmented_posterior(model: GpModel, pp: PseudoPointSet, x: np.ndarray) -> tuple[float, float]:
-    """Posterior mean/variance at ``x`` after adding the pseudo-points."""
-    return gp.posterior(augmented_model(model, pp), x)
-
-
 def correction_terms(
     model: GpModel, pp: PseudoPointSet, queries: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -223,17 +217,22 @@ def correction_terms(
     return p_mat, m_mat, factor[0]
 
 
-def variance_reduction(model: GpModel, pp: PseudoPointSet, x: np.ndarray) -> float:
-    """Exact drop in posterior variance at ``x`` caused by the pseudo rows.
+def variance_reduction(model: GpModel, pp: PseudoPointSet, x: np.ndarray) -> float | np.ndarray:
+    """Exact drop in posterior variance caused by the pseudo rows.
 
-    Computed as p(x)^T M p(x) through a triangular solve, so the result is
-    a sum of squares and cannot go negative.
+    ``x`` is one point (d,), giving a float, or rows (m, d), giving an (m,)
+    array from one ``correction_terms`` call.  Computed as p(x)^T M p(x)
+    through a triangular solve, so each result is a sum of squares and
+    cannot go negative.
     """
+    x = np.asarray(x, dtype=float)
     if len(pp) == 0:
-        return 0.0
-    p_mat, _, s_lower = correction_terms(model, pp, np.asarray(x, dtype=float).reshape(1, -1))
-    half = solve_triangular(s_lower, p_mat[:, 0], lower=True)
-    return float(half @ half)
+        return 0.0 if x.ndim == 1 else np.zeros(x.shape[0])
+    p_mat, _, s_lower = correction_terms(model, pp, x)
+    half = solve_triangular(s_lower, p_mat, lower=True)
+    if x.ndim == 1:
+        return float(half[:, 0] @ half[:, 0])
+    return np.einsum("ij,ij->j", half, half)
 
 
 def mean_shift(
@@ -241,16 +240,19 @@ def mean_shift(
     pp_hat: PseudoPointSet,
     true_values: np.ndarray,
     x: np.ndarray,
-) -> float:
+) -> float | np.ndarray:
     """Difference in augmented posterior mean: borrowed values minus true values.
 
     Evaluates -p(x)^T M (values_hat - values_true); it equals the difference
-    of the two explicitly augmented posterior means.
+    of the two explicitly augmented posterior means.  ``x`` is one point
+    (d,), giving a float, or rows (m, d), giving an (m,) array.
     """
+    x = np.asarray(x, dtype=float)
     true_values = np.asarray(true_values, dtype=float).reshape(-1)
     if true_values.shape[0] != len(pp_hat):
         raise ValueError("true_values must have one entry per pseudo-point")
     if len(pp_hat) == 0:
-        return 0.0
-    p_mat, m_mat, _ = correction_terms(model, pp_hat, np.asarray(x, dtype=float).reshape(1, -1))
-    return -float(p_mat[:, 0] @ (m_mat @ (pp_hat.values - true_values)))
+        return 0.0 if x.ndim == 1 else np.zeros(x.shape[0])
+    p_mat, m_mat, _ = correction_terms(model, pp_hat, x)
+    shift = -(p_mat.T @ (m_mat @ (pp_hat.values - true_values)))
+    return float(shift[0]) if x.ndim == 1 else shift

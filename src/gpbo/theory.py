@@ -1,4 +1,8 @@
-"""Randomized numerical verification of the closed-form correction identities.
+"""The regret-bound maths and the randomized verification of the correction identities.
+
+``evaluate_regret_bound`` evaluates the cumulative-regret envelope of UCB
+with pseudo-points on a finished run's trace: a theorem-form beta schedule
+plus one mean-error envelope per round.
 
 Each check builds a small random GP instance, evaluates a closed-form
 quantity from :mod:`gpbo.pseudo`, and compares it against a brute-force
@@ -15,10 +19,14 @@ import numpy as np
 
 from . import gp, pseudo
 from .domain import unit_symmetric
-from .engine import TheoryParams, mean_error_bound
 from .gp import Dataset, KernelParams
 
 __all__ = [
+    "TheoryParams",
+    "RegretBoundResult",
+    "mean_error_bound",
+    "theorem_mean_error_bound",
+    "evaluate_regret_bound",
     "TheoryInstance",
     "CheckReport",
     "build_instance",
@@ -30,6 +38,131 @@ __all__ = [
 ]
 
 _N_QUERIES = 32
+
+
+@dataclass(frozen=True)
+class TheoryParams:
+    """Constants entering the theoretical schedule and regret bound.
+
+    ``tail_a``/``tail_b`` parameterize the high-probability bound
+    a*exp(-(L/b)^2) on the objective's partial-derivative tails;
+    ``lipschitz`` is an explicit slope bound used where one is known;
+    ``domain_width`` is the width of each coordinate of the search box.
+    """
+
+    tail_a: float = 1.0
+    tail_b: float = 1.0
+    lipschitz: float = 1.0
+    domain_width: float = 2.0
+    delta: float = 0.1
+
+    def __post_init__(self):
+        if min(self.tail_a, self.tail_b, self.lipschitz, self.domain_width) <= 0:
+            raise ValueError("all theory constants must be positive")
+        if not (0.0 < self.delta < 1.0):
+            raise ValueError("delta must lie strictly inside (0, 1)")
+
+
+def _theorem_beta(t: int, d: int, theory: TheoryParams) -> float:
+    """The theorem-form confidence width at iteration ``t`` in dimension ``d``:
+    2*log(2*pi^2*t^2/(3*delta)) + 2*d*log(t^2*d*b*r*sqrt(log(4*d*a/delta))).
+    """
+    delta = theory.delta
+    inner = t**2 * d * theory.tail_b * theory.domain_width * math.sqrt(
+        math.log(4.0 * d * theory.tail_a / delta)
+    )
+    return 2.0 * math.log(2.0 * math.pi**2 * t**2 / (3.0 * delta)) + 2.0 * d * math.log(inner)
+
+
+def mean_error_bound(
+    pseudo_count: int,
+    tau: float,
+    lipschitz: float,
+    noise_variance: float,
+    total_pseudo: int,
+    delta: float,
+    dimension: int,
+) -> float:
+    """High-probability envelope for the posterior-mean error of one round.
+
+    l^2 * sqrt(1 + 1/noise) * (L*d*tau/sigma + 2*sqrt(log(4*total/delta)))
+    with l the round's pseudo-point count and total the sum of counts over
+    the whole run.  A round with no pseudo-points contributes zero.
+    """
+    if pseudo_count == 0:
+        return 0.0
+    sigma = math.sqrt(noise_variance)
+    slope_term = lipschitz * dimension * tau / sigma
+    noise_term = 2.0 * math.sqrt(math.log(4.0 * total_pseudo / delta))
+    return pseudo_count**2 * math.sqrt(1.0 + 1.0 / noise_variance) * (slope_term + noise_term)
+
+
+def theorem_mean_error_bound(
+    pseudo_count: int,
+    tau: float,
+    theory: TheoryParams,
+    noise_variance: float,
+    total_pseudo: int,
+    dimension: int,
+) -> float:
+    """The schedule-form envelope: the explicit slope bound is replaced by
+    tail_b*sqrt(log(4*d*tail_a/delta))."""
+    lipschitz = theory.tail_b * math.sqrt(math.log(4.0 * dimension * theory.tail_a / theory.delta))
+    return mean_error_bound(
+        pseudo_count, tau, lipschitz, noise_variance, total_pseudo, theory.delta, dimension
+    )
+
+
+@dataclass(frozen=True)
+class RegretBoundResult:
+    """Numerical evaluation of the cumulative-regret envelope for one trace."""
+
+    bound: float
+    mean_error_terms: tuple[float, ...]
+    info_gain: float
+    beta_final: float
+    capacity_constant: float
+
+
+def evaluate_regret_bound(
+    trace,
+    theory: TheoryParams,
+    pseudo_counts: np.ndarray | None = None,
+    taus: np.ndarray | None = None,
+) -> RegretBoundResult:
+    """Evaluate sqrt(C*T*beta_T*gain) + 2 + 2*sum(mean-error terms) for a trace.
+
+    ``trace`` is the :class:`gpbo.engine.RegretTrace` of a finished run.
+    ``gain`` is the trace's empirical information-gain proxy, substituted for
+    the worst-case capacity term, so the number is diagnostic rather than a
+    certified bound.  Requires a unit-amplitude trace (the formulas assume
+    unit prior variance).  With no pseudo-points anywhere the expression
+    collapses to sqrt(C*T*beta_T*gain) + 2.
+    """
+    if not trace.unit_amplitude:
+        raise ValueError("regret bound evaluation requires a unit-amplitude trace")
+    counts = trace.pseudo_counts if pseudo_counts is None else np.asarray(pseudo_counts)
+    tau_list = trace.taus if taus is None else np.asarray(taus, dtype=float)
+    if counts.shape != tau_list.shape:
+        raise ValueError("pseudo_counts and taus must have equal length")
+    t_total = len(trace)
+    noise = trace.noise_variance
+    capacity = 8.0 / math.log1p(1.0 / noise)
+    beta_final = _theorem_beta(t_total, trace.dimension, theory)
+    total = int(np.sum(counts))
+    terms = tuple(
+        theorem_mean_error_bound(int(l), float(tau), theory, noise, total, trace.dimension)
+        for l, tau in zip(counts, tau_list)
+    )
+    gain = float(trace.info_gain[-1])
+    bound = math.sqrt(capacity * t_total * beta_final * gain) + 2.0 + 2.0 * sum(terms)
+    return RegretBoundResult(
+        bound=bound,
+        mean_error_terms=terms,
+        info_gain=gain,
+        beta_final=beta_final,
+        capacity_constant=capacity,
+    )
 
 
 @dataclass(frozen=True)
@@ -116,14 +249,11 @@ def check_variance_reduction_identity(instance: TheoryInstance, tolerance: float
     except gp.FactorizationError as exc:
         return CheckReport("variance_reduction_identity", False, math.inf, tolerance,
                            instance.seed, {"skipped": str(exc)})
-    worst = 0.0
-    min_value = math.inf
-    for x in queries:
-        closed = pseudo.variance_reduction(model, pp, x)
-        _, base_var = gp.posterior(model, x)
-        _, aug_var = gp.posterior(augmented, x)
-        worst = max(worst, abs(closed - (base_var - aug_var)))
-        min_value = min(min_value, closed)
+    closed = pseudo.variance_reduction(model, pp, queries)
+    _, base_var = gp.predict(model, queries)
+    _, aug_var = gp.predict(augmented, queries)
+    worst = float(np.max(np.abs(closed - (base_var - aug_var))))
+    min_value = float(np.min(closed))
     passed = worst <= tolerance and min_value >= -1e-9
     return CheckReport(
         "variance_reduction_identity",
@@ -148,12 +278,10 @@ def check_mean_shift_identity(instance: TheoryInstance, tolerance: float = 1e-8)
         model,
         pseudo.PseudoPointSet(pp.points, true_values, pp.parent_index, pp.tau, pp.clipped),
     )
-    worst = 0.0
-    for x in queries:
-        closed = pseudo.mean_shift(model, pp, true_values, x)
-        mu_hat, _ = gp.posterior(with_copied, x)
-        mu_tilde, _ = gp.posterior(with_true, x)
-        worst = max(worst, abs(closed - (mu_hat - mu_tilde)))
+    closed = pseudo.mean_shift(model, pp, true_values, queries)
+    mu_hat, _ = gp.predict(with_copied, queries)
+    mu_tilde, _ = gp.predict(with_true, queries)
+    worst = float(np.max(np.abs(closed - (mu_hat - mu_tilde))))
     return CheckReport(
         "mean_shift_identity",
         worst <= tolerance,

@@ -15,8 +15,8 @@ import pytest
 from gpbo import direct, gp, pseudo
 from gpbo.direct import DirectConfig
 from gpbo.domain import BoxDomain
-from gpbo.engine import RunConfig, TheoryParams, evaluate_regret_bound, run_bo, run_bopp
-from gpbo.engine import mean_error_bound
+from gpbo.engine import RunConfig, run_bo, run_bopp
+from gpbo.theory import TheoryParams, evaluate_regret_bound, mean_error_bound
 from gpbo.acquisition import ei_value
 from gpbo.gp import Dataset, KernelParams
 from gpbo.objectives import make_synthetic

@@ -304,6 +304,14 @@ class TestMainEntry:
         assert len(json.loads((out_dir / "failures.json").read_text())) == 4
         assert not (out_dir / "summary.csv").exists()
 
+    def test_run_rejects_unknown_config_keys(self, tmp_path):
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({"objective": "dropwave", "budjet": 3, "algorithm": ["ei"]}))
+        out_dir = tmp_path / "out"
+        with pytest.raises(ValueError, match="unknown config keys: algorithm, budjet;"):
+            cli.main(["run", "--config", str(config_path), "--out", str(out_dir)])
+        assert not out_dir.exists()
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "env_out"))
         config_path = tmp_path / "exp.json"

@@ -7,18 +7,15 @@ import pytest
 
 from gpbo import engine, gp, pseudo
 from gpbo.direct import DirectConfig
-from gpbo.engine import (
-    RegretTrace,
-    RunConfig,
+from gpbo.engine import RegretTrace, RunConfig, run_bo, run_bopp
+from gpbo.objectives import make_synthetic
+from gpbo.pseudo import PseudoSchedule
+from gpbo.theory import (
     TheoryParams,
     evaluate_regret_bound,
     mean_error_bound,
-    run_bo,
-    run_bopp,
     theorem_mean_error_bound,
 )
-from gpbo.objectives import make_synthetic
-from gpbo.pseudo import PseudoSchedule
 
 FAST_DIRECT = DirectConfig(max_evaluations=60)
 

@@ -1,0 +1,50 @@
+"""Package layout: every exported name resolves, and the layers import downward."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+import gpbo
+
+MODULES = ("acquisition", "cli", "direct", "engine", "gp", "objectives", "pseudo", "theory")
+SOURCE = Path(gpbo.__file__).resolve().parent
+
+
+def imported_modules(name):
+    """Absolute names of the modules a package module imports."""
+    found = set()
+    for node in ast.walk(ast.parse((SOURCE / f"{name}.py").read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            # gpbo is a flat package, so a relative import is relative to gpbo.
+            base = node.module if not node.level else ".".join(filter(None, ["gpbo", node.module]))
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_package_exports_resolve():
+    for name in gpbo.__all__:
+        assert hasattr(gpbo, name), name
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_module_exports_resolve(name):
+    module = importlib.import_module(f"gpbo.{name}")
+    for export in module.__all__:
+        assert hasattr(module, export), f"gpbo.{name}.{export}"
+
+
+@pytest.mark.parametrize("name", ["theory", "acquisition"])
+def test_no_import_from_engine(name):
+    imports = imported_modules(name)
+    assert not any(m == "gpbo.engine" or m.startswith("gpbo.engine.") for m in imports), imports
+
+
+def test_engine_exports_only_the_run_loops():
+    assert importlib.import_module("gpbo.engine").__all__ == [
+        "RunConfig", "RegretTrace", "run_bo", "run_bopp"
+    ]

@@ -177,7 +177,7 @@ class TestAugmentedPosterior:
         model, _ = make_model(rng)
         x = rng.uniform(-1, 1, 2)
         empty = pseudo.empty_pseudo_set(2)
-        assert pseudo.augmented_posterior(model, empty, x) == gp.posterior(model, x)
+        assert gp.posterior(pseudo.augmented_model(model, empty), x) == gp.posterior(model, x)
 
     def test_matches_dense_joint_system(self):
         rng = np.random.default_rng(12)
@@ -185,7 +185,7 @@ class TestAugmentedPosterior:
         pp = generated(rng, data, tau0=0.05)
         pp = PseudoPointSet(pp.points[:2], pp.values[:2], pp.parent_index[:2], pp.tau, pp.clipped[:2])
         x = rng.uniform(-1, 1, 2)
-        mean, var = pseudo.augmented_posterior(model, pp, x)
+        mean, var = gp.posterior(pseudo.augmented_model(model, pp), x)
         joint_pts = np.vstack([data.points, pp.points])
         joint_y = np.concatenate([data.observations, pp.values])
         p = model.params
@@ -338,6 +338,47 @@ class TestMeanShift:
         pp = generated(rng, data)
         with pytest.raises(ValueError):
             pseudo.mean_shift(model, pp, np.zeros(len(pp) + 1), np.zeros(2))
+
+
+class TestBatchedCorrections:
+    """Rows (m, d) give one value per row from one correction_terms call."""
+
+    def test_rows_match_single_points(self):
+        rng = np.random.default_rng(26)
+        for _ in range(20):
+            n = int(rng.integers(1, 13))
+            d = int(rng.integers(1, 4))
+            model, data = make_model(rng, n=n, d=d, noise=float(rng.uniform(1e-4, 1e-1)))
+            pp = generated(rng, data, tau0=float(rng.uniform(0.005, 0.08)))
+            true_vals = pp.values + rng.normal(0, 0.5, size=len(pp))
+            queries = rng.uniform(-1, 1, (int(rng.integers(1, 33)), d))
+            reduction = pseudo.variance_reduction(model, pp, queries)
+            shift = pseudo.mean_shift(model, pp, true_vals, queries)
+            assert reduction.shape == shift.shape == (len(queries),)
+            np.testing.assert_allclose(
+                reduction, [pseudo.variance_reduction(model, pp, x) for x in queries],
+                rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                shift, [pseudo.mean_shift(model, pp, true_vals, x) for x in queries],
+                rtol=0, atol=1e-12)
+
+    def test_single_point_gives_float(self):
+        rng = np.random.default_rng(27)
+        model, data = make_model(rng)
+        pp = generated(rng, data)
+        x = rng.uniform(-1, 1, 2)
+        assert type(pseudo.variance_reduction(model, pp, x)) is float
+        assert type(pseudo.mean_shift(model, pp, pp.values - 0.1, x)) is float
+
+    def test_empty_set_gives_zero_rows(self):
+        rng = np.random.default_rng(28)
+        model, _ = make_model(rng)
+        empty = pseudo.empty_pseudo_set(2)
+        queries = rng.uniform(-1, 1, (5, 2))
+        for out in (pseudo.variance_reduction(model, empty, queries),
+                    pseudo.mean_shift(model, empty, np.empty(0), queries)):
+            assert out.shape == (5,)
+            assert np.all(out == 0.0)
 
 
 class TestScheduleValidation:

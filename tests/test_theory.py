@@ -1,18 +1,31 @@
-"""Randomized verification suite: replayability and batch pass rates."""
+"""Regret-bound maths and the randomized verification suite: replayability
+and batch pass rates."""
+
+import math
 
 import numpy as np
 import pytest
 
 from gpbo import theory
-from gpbo.engine import TheoryParams
 from gpbo.theory import (
     TheoryInstance,
+    TheoryParams,
     check_correction_bounds,
     check_mean_error_envelope,
     check_mean_shift_identity,
     check_variance_reduction_identity,
     run_identity_suite,
 )
+
+
+class TestTheoremBeta:
+    def test_theorem_mode_direct_evaluation(self):
+        params = TheoryParams(tail_a=1.0, tail_b=1.0, domain_width=1.0, delta=0.1)
+        got = theory._theorem_beta(1, 1, params)
+        inner = 1.0 * math.sqrt(math.log(4.0 / 0.1))
+        expected = 2.0 * math.log(2.0 * math.pi**2 / 0.3) + 2.0 * math.log(inner)
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert got > 0.0 and math.isfinite(got)
 
 
 class TestVarianceReductionCheck:
