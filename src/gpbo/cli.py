@@ -120,19 +120,26 @@ _CONFIG_KEYS = frozenset({
     "objective", "algorithms", "repeats", "budget", "initial_points", "seed",
     "noise_variance", "delta", "standardize", "out_dir", "jobs", "external",
 })
+_ALGORITHM_KEYS = frozenset({"name", "acquisition", "tau0"})
+_EXTERNAL_KEYS = frozenset({"command", "lower", "upper"})
+
+
+def _check_keys(block: dict, valid: frozenset, name: str) -> None:
+    unknown = sorted(set(block) - valid)
+    if unknown:
+        raise ValueError(
+            f"unknown {name} keys: {', '.join(unknown)}; valid keys: {', '.join(sorted(valid))}"
+        )
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    unknown = sorted(set(raw) - _CONFIG_KEYS)
-    if unknown:
-        raise ValueError(
-            f"unknown config keys: {', '.join(unknown)}; valid keys: {', '.join(sorted(_CONFIG_KEYS))}"
-        )
+    _check_keys(raw, _CONFIG_KEYS, "config")
     algorithms = []
-    for entry in raw.get("algorithms", ["ucb"]):
+    for i, entry in enumerate(raw.get("algorithms", ["ucb"])):
         if isinstance(entry, str):
             algorithms.append(AlgorithmSpec.parse(entry))
         else:
+            _check_keys(entry, _ALGORITHM_KEYS, f"algorithms[{i}]")
             algorithms.append(
                 AlgorithmSpec(
                     name=entry.get("name") or entry["acquisition"],
@@ -141,6 +148,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
                 )
             )
     external = raw.get("external")
+    if external is not None:
+        _check_keys(external, _EXTERNAL_KEYS, "external")
     return ExperimentConfig(
         objective=raw.get("objective", "griewank"),
         algorithms=tuple(algorithms),

@@ -2,8 +2,9 @@
 
 The posterior is kept in factored form: a lower Cholesky factor of
 ``K + noise_variance * I`` plus the weight vector solving
-``(K + noise_variance * I) w = y``.  All query operations reuse the factor;
-nothing ever inverts a matrix explicitly.
+``(K + noise_variance * I) w = y``.  All query operations reuse the factor
+and never invert a matrix; only the likelihood gradient of the hyper-parameter
+fit takes an explicit inverse, from LAPACK ``dpotri`` on the same factor.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dtrsm
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 from scipy.optimize import minimize
 
 __all__ = [
@@ -125,14 +127,22 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndar
 
 
 def _chol_with_jitter(mat: np.ndarray) -> tuple[np.ndarray, float]:
-    """Lower Cholesky factor of ``mat``, escalating diagonal jitter on failure."""
+    """Lower Cholesky factor of ``mat``, escalating diagonal jitter on failure.
+
+    Only the lower triangle of ``mat`` is read, and ``mat`` is left as it
+    was.  The factor's upper triangle is zero.  This is the one Cholesky
+    factorization in the package.
+    """
     n = mat.shape[0]
     for jitter in JITTER_LADDER:
-        try:
-            m = mat if jitter == 0.0 else mat + jitter * np.eye(n)
-            return cholesky(m, lower=True), jitter
-        except np.linalg.LinAlgError:
-            continue
+        if jitter == 0.0:
+            m = mat
+        else:
+            m = mat.copy()
+            m.flat[:: n + 1] += jitter
+        factor, info = dpotrf(m, lower=1, clean=1)
+        if info == 0:
+            return factor, jitter
     raise FactorizationError(
         f"covariance matrix of size {n} is not positive definite even with "
         f"jitter up to {JITTER_LADDER[-1]:g}"
@@ -296,51 +306,68 @@ class FitConfig:
     rng: np.random.Generator | None = field(default=None, compare=False)
 
 
-def _sq_diff_stack(points: np.ndarray) -> np.ndarray:
-    """Per-coordinate squared differences, shape (d, n, n)."""
+def _lik_stack(points: np.ndarray) -> np.ndarray:
+    """Per-fit design of the likelihood gradient, shape (d + 1, n * n).
+
+    Row j < d holds the squared coordinate-j differences and row d holds
+    ones, each flattened and weighted 2 below the diagonal, 1 on it and 0
+    above it.  A product with a flattened symmetric matrix that is valid
+    only in its lower triangle then sums the whole matrix.
+    """
+    n, d = points.shape
+    weights = np.tril(np.full((n, n), 2.0), -1) + np.eye(n)
     diff = points[:, None, :] - points[None, :, :]
-    return np.ascontiguousarray(np.square(diff).transpose(2, 0, 1))
+    stack = np.empty((d + 1, n, n))
+    stack[:d] = np.square(diff).transpose(2, 0, 1) * weights
+    stack[d] = weights
+    return stack.reshape(d + 1, n * n)
 
 
 def _nll_and_grad(
     log_theta: np.ndarray,
-    points: np.ndarray,
     y: np.ndarray,
-    sq_diffs: np.ndarray,
-    config: FitConfig,
-    fixed_amplitude: float,
+    stack: np.ndarray,
+    fixed_amplitude: float | None,
     noise: float,
 ) -> tuple[float, np.ndarray]:
-    """Negative log likelihood and its gradient in log-parameter space."""
-    d = points.shape[1]
-    t = points.shape[0]
-    ls = np.exp(log_theta[:d])
-    amp = fixed_amplitude if config.fix_amplitude else math.exp(log_theta[d])
+    """Negative log likelihood and its gradient in log-parameter space.
 
-    expo = np.einsum("kij,k->ij", sq_diffs, 0.5 / np.square(ls))
-    gram = amp * np.exp(-expo)
-    mat = gram + noise * np.eye(t)
+    ``stack`` comes from ``_lik_stack``; ``fixed_amplitude`` is None when
+    the amplitude is the last entry of ``log_theta``.  Only lower triangles
+    hold meaningful values (the Gram matrix's upper triangle is ``amp``);
+    ``dpotrf`` and ``dpotri`` read and write nothing else, and the stack's
+    weights drop the rest.
+    """
+    d = stack.shape[0] - 1
+    t = y.shape[0]
+    ls = np.exp(log_theta[:d])
+    amp = math.exp(log_theta[d]) if fixed_amplitude is None else fixed_amplitude
+
+    # The stack holds twice each squared difference below the diagonal.
+    flat = (-0.25 / np.square(ls)) @ stack[:d]
+    np.exp(flat, out=flat)
+    flat *= amp
+    gram = flat.reshape(t, t)
+    diag = flat[:: t + 1]
+    diag += noise
     try:
-        lower, _ = _chol_with_jitter(mat)
+        lower, _ = _chol_with_jitter(gram)
     except FactorizationError:
         return 1e25, np.zeros_like(log_theta)
-    alpha = solve_triangular(lower, y, lower=True)
-    alpha = solve_triangular(lower.T, alpha, lower=False)
+    diag[:] = amp  # dK/dlog(amplitude) is the noise-free Gram matrix
+    alpha = dpotrs(lower, y, lower=1)[0]
     nll = (
         0.5 * float(y @ alpha)
-        + float(np.sum(np.log(np.diag(lower))))
+        + float(np.log(lower.diagonal()).sum())
         + 0.5 * t * math.log(2.0 * math.pi)
     )
-    inv = solve_triangular(lower, np.eye(t), lower=True)
-    inv = solve_triangular(lower.T, inv, lower=False)
-    # dLL/dtheta = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta); gradient of the NLL flips sign.
-    w = np.outer(alpha, alpha) - inv
-    grad = np.empty_like(log_theta)
-    wk = w * gram
-    for j in range(d):
-        grad[j] = -0.5 * float(np.sum(wk * sq_diffs[j])) / ls[j] ** 2
-    if not config.fix_amplitude:
-        grad[d] = -0.5 * float(np.sum(wk))
+    # dLL/dtheta = 0.5 tr((alpha alpha^T - K^-1) dK/dtheta) (Rasmussen &
+    # Williams 2006, eq. 5.9); the NLL's gradient flips the sign.
+    wk = np.multiply.outer(alpha, alpha)
+    wk -= dpotri(lower, lower=1)[0]
+    wk *= gram
+    grad = -0.5 * (stack[: log_theta.size] @ wk.reshape(-1))
+    grad[:d] /= np.square(ls)
     return nll, grad
 
 
@@ -370,7 +397,7 @@ def fit(data: Dataset, init: KernelParams, config: FitConfig = FitConfig()) -> K
         raise ValueError("dataset dimension does not match initial lengthscales")
     d = data.dimension
     y = data.observations
-    sq_diffs = _sq_diff_stack(data.points)
+    stack = _lik_stack(data.points)
     rng = config.rng if config.rng is not None else np.random.default_rng(0)
 
     bounds = [tuple(np.log(config.lengthscale_bounds))] * d
@@ -388,7 +415,7 @@ def fit(data: Dataset, init: KernelParams, config: FitConfig = FitConfig()) -> K
             draw.append(rng.uniform(math.log(amp_center) - math.log(10), math.log(amp_center) + math.log(10), size=1))
         starts.append(np.concatenate(draw))
 
-    args = (data.points, y, sq_diffs, config, init.amplitude, init.noise_variance)
+    args = (y, stack, init.amplitude if config.fix_amplitude else None, init.noise_variance)
     best_theta = starts[0]
     best_nll = _nll_and_grad(starts[0], *args)[0]
     if best_nll >= 1e25:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from . import gp
 from .domain import BoxDomain
@@ -194,8 +194,9 @@ def correction_terms(
     ``P[:, q]`` is the vector p(x_q) = Ktilde^T A^-1 k_t(x_q) - k'(x_q) with
     A the base training matrix; ``M`` is the inverse of
     S = K' + noise*I - Ktilde^T A^-1 Ktilde (the augmented-block capacitance);
-    ``S_factor`` is the Cholesky factor pair of S used for the solves.  All
-    products go through triangular solves on the stored factors.
+    ``S_factor`` is the lower Cholesky factor of S used for the solves, with
+    diagonal jitter from the model's ladder when S needs it.  All products
+    go through triangular solves on the stored factors.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     params = model.params
@@ -212,9 +213,9 @@ def correction_terms(
         half_queries = solve_triangular(model.factor, cross_queries, lower=True)
         p_mat = half_base.T @ half_queries - cross_new
         schur = corner - half_base.T @ half_base
-    factor = cho_factor(schur, lower=True)
-    m_mat = cho_solve(factor, np.eye(len(pp)))
-    return p_mat, m_mat, factor[0]
+    s_lower, _ = gp._chol_with_jitter(schur)
+    m_mat = cho_solve((s_lower, True), np.eye(len(pp)))
+    return p_mat, m_mat, s_lower
 
 
 def variance_reduction(model: GpModel, pp: PseudoPointSet, x: np.ndarray) -> float | np.ndarray:

@@ -312,6 +312,21 @@ class TestMainEntry:
             cli.main(["run", "--config", str(config_path), "--out", str(out_dir)])
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("block, message", [
+        ({"algorithms": [{"acquisition": "ucb", "tau": 0.01}]},
+         r"unknown algorithms\[0\] keys: tau; valid keys: acquisition, name, tau0"),
+        ({"objective": "external",
+          "external": {"command": "echo 1", "lower": [0], "upper": [1], "timeout": 5}},
+         "unknown external keys: timeout; valid keys: command, lower, upper"),
+    ], ids=["algorithm", "external"])
+    def test_run_rejects_unknown_nested_keys(self, tmp_path, block, message):
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({"budget": 3, "repeats": 1, **block}))
+        out_dir = tmp_path / "out"
+        with pytest.raises(ValueError, match=message):
+            cli.main(["run", "--config", str(config_path), "--out", str(out_dir)])
+        assert not out_dir.exists()
+
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "env_out"))
         config_path = tmp_path / "exp.json"

@@ -8,6 +8,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, solve_triangular
 
 from gpbo import gp
 from gpbo.gp import Dataset, FitConfig, KernelParams
@@ -49,6 +50,27 @@ def reconstruction_error(model):
     gram[np.diag_indices_from(gram)] += model.params.noise_variance + model.jitter
     err = np.abs(model.factor @ model.factor.T - gram)
     return float(err.max() / np.abs(gram).max())
+
+
+def reference_nll_and_grad(log_theta, points, y, fixed_amplitude, noise):
+    """The likelihood arithmetic that the LAPACK path replaced: a full Gram
+    matrix, an explicit inverse from triangular solves against the identity
+    and one trace per parameter."""
+    t, d = points.shape
+    ls = np.exp(log_theta[:d])
+    amp = math.exp(log_theta[d]) if fixed_amplitude is None else fixed_amplitude
+    sq_diffs = np.square(points[:, None, :] - points[None, :, :]).transpose(2, 0, 1)
+    gram = amp * np.exp(-np.einsum("kij,k->ij", sq_diffs, 0.5 / np.square(ls)))
+    lower = cholesky(gram + noise * np.eye(t), lower=True)
+    alpha = solve_triangular(lower.T, solve_triangular(lower, y, lower=True), lower=False)
+    logdet_half = float(np.sum(np.log(np.diag(lower))))
+    nll = 0.5 * float(y @ alpha) + logdet_half + 0.5 * t * math.log(2.0 * math.pi)
+    inv = solve_triangular(lower.T, solve_triangular(lower, np.eye(t), lower=True), lower=False)
+    wk = (np.outer(alpha, alpha) - inv) * gram
+    grad = [-0.5 * float(np.sum(wk * sq_diffs[j])) / ls[j] ** 2 for j in range(d)]
+    if fixed_amplitude is None:
+        grad.append(-0.5 * float(np.sum(wk)))
+    return nll, np.array(grad)
 
 
 def pair_kernel(a, b, params):
@@ -307,21 +329,78 @@ class TestLogLikelihood:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(18)
-        d = 2
-        data = random_dataset(rng, 10, d)
-        params = random_params(rng, d, noise=1e-2)
-        config = FitConfig()
-        sq = gp._sq_diff_stack(data.points)
-        theta = gp._pack(params, config)
-        args = (data.points, data.observations, sq, config, params.amplitude, params.noise_variance)
-        _, grad = gp._nll_and_grad(theta, *args)
-        h = 1e-5
-        for k in range(theta.size):
-            up, down = theta.copy(), theta.copy()
-            up[k] += h
-            down[k] -= h
-            fd = (gp._nll_and_grad(up, *args)[0] - gp._nll_and_grad(down, *args)[0]) / (2 * h)
-            assert grad[k] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+        for d, n, fix_amplitude in ((2, 10, False), (2, 10, True), (6, 25, False), (6, 25, True)):
+            data = random_dataset(rng, n, d)
+            params = random_params(rng, d, noise=1e-2)
+            config = FitConfig(fix_amplitude=fix_amplitude)
+            theta = gp._pack(params, config)
+            fixed = params.amplitude if fix_amplitude else None
+            args = (data.observations, gp._lik_stack(data.points), fixed, params.noise_variance)
+            _, grad = gp._nll_and_grad(theta, *args)
+            assert grad.shape == theta.shape
+            h = 1e-5
+            for k in range(theta.size):
+                up, down = theta.copy(), theta.copy()
+                up[k] += h
+                down[k] -= h
+                fd = (gp._nll_and_grad(up, *args)[0] - gp._nll_and_grad(down, *args)[0]) / (2 * h)
+                assert grad[k] == pytest.approx(fd, rel=1e-4, abs=1e-7)
+
+    def test_matches_reference_arithmetic(self):
+        # Below a noise of about 1e-6 with duplicate rows both gradients cancel
+        # catastrophically, so the sweep stays at noise 1e-4 and above.
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            d = int(rng.integers(1, 7))
+            n = int(rng.integers(1, 111))
+            noise = float(10.0 ** rng.uniform(-4, -1))
+            fixed = float(rng.uniform(0.2, 5.0)) if rng.integers(0, 2) else None
+            points = rng.uniform(-1, 1, (n, d))
+            y = rng.normal(size=n)
+            theta = np.log(rng.uniform(0.05, 2.0, d))
+            if fixed is None:
+                theta = np.append(theta, math.log(rng.uniform(0.2, 5.0)))
+            nll, grad = gp._nll_and_grad(theta, y, gp._lik_stack(points), fixed, noise)
+            ref_nll, ref_grad = reference_nll_and_grad(theta, points, y, fixed, noise)
+            assert abs(nll - ref_nll) <= 1e-10 * abs(ref_nll)
+            assert grad.shape == ref_grad.shape
+            assert np.max(np.abs(grad - ref_grad)) <= 1e-7 * np.max(np.abs(ref_grad))
+
+    def test_unfactorizable_gram_gives_sentinel(self, monkeypatch):
+        # Duplicate rows at noise 1e-17 give a singular Gram matrix; with the
+        # ladder cut to its first rung nothing rescues it.
+        monkeypatch.setattr(gp, "JITTER_LADDER", (0.0,))
+        data = Dataset(np.zeros((2, 1)), [1.0, 1.0])
+        init = KernelParams(lengthscales=np.array([1.0]), amplitude=1.0, noise_variance=1e-17)
+        nll, grad = gp._nll_and_grad(
+            np.zeros(2), data.observations, gp._lik_stack(data.points), None, 1e-17
+        )
+        assert nll == 1e25
+        np.testing.assert_array_equal(grad, np.zeros(2))
+        with pytest.raises(gp.FactorizationError):
+            gp.fit(data, init, FitConfig(n_starts=1))
+
+
+class TestCholWithJitter:
+    def test_positive_definite_needs_no_jitter(self):
+        rng = np.random.default_rng(24)
+        a = rng.normal(size=(5, 5))
+        mat = a @ a.T + 5 * np.eye(5)
+        factor, jitter = gp._chol_with_jitter(mat)
+        assert jitter == 0.0
+        np.testing.assert_array_equal(factor, cholesky(mat, lower=True))
+
+    def test_singular_matrix_walks_the_ladder(self):
+        mat = np.ones((3, 3))
+        factor, jitter = gp._chol_with_jitter(mat)
+        assert jitter == 1e-10
+        np.testing.assert_array_equal(np.triu(factor, 1), 0.0)
+        np.testing.assert_allclose(factor @ factor.T, mat + jitter * np.eye(3), rtol=0, atol=1e-15)
+        np.testing.assert_array_equal(mat, np.ones((3, 3)))
+
+    def test_indefinite_matrix_raises(self):
+        with pytest.raises(gp.FactorizationError):
+            gp._chol_with_jitter(np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
 class TestFit:

@@ -48,3 +48,16 @@ def test_engine_exports_only_the_run_loops():
     assert importlib.import_module("gpbo.engine").__all__ == [
         "RunConfig", "RegretTrace", "run_bo", "run_bopp"
     ]
+
+
+def test_one_cholesky_path():
+    # Every factorization goes through gp._chol_with_jitter: no module takes
+    # scipy's Cholesky wrappers, and only gp calls LAPACK dpotrf.
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+                taken = {alias.name for alias in node.names}
+                assert not taken & {"cholesky", "cho_factor"}, (path.name, node.module)
+            named = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, (ast.Name, ast.Attribute)) and named == "dpotrf":
+                assert path.name == "gp.py", f"{path.name} calls dpotrf"

@@ -255,6 +255,24 @@ class TestVarianceReduction:
                 assert closed == pytest.approx(base_var - aug_var, abs=1e-8)
                 assert closed >= 0.0
 
+    def test_schur_block_gets_the_jitter_ladder(self):
+        # Noise so small that 1 + noise rounds to 1: a pseudo-point on the
+        # observed point makes the Schur block singular.  The augmented model
+        # builds with jitter, and the closed form must take the same ladder.
+        params = KernelParams(lengthscales=np.array([0.5]), amplitude=1.0, noise_variance=1e-17)
+        model = gp.build_model(Dataset(np.array([[0.3]]), [0.1]), params)
+        pp = PseudoPointSet(
+            np.array([[0.3]]), np.array([0.1]), np.array([0]), 0.0, np.zeros((1, 1), dtype=bool)
+        )
+        aug = pseudo.augmented_model(model, pp)
+        assert aug.jitter > 0.0
+        for q in (0.0, 0.3, -0.7):
+            closed = pseudo.variance_reduction(model, pp, np.array([q]))
+            _, base_var = gp.posterior(model, [q])
+            _, aug_var = gp.posterior(aug, [q])
+            assert closed >= 0.0
+            assert closed == pytest.approx(base_var - aug_var, abs=1e-9)
+
     def test_reduction_plus_augmented_equals_base(self):
         rng = np.random.default_rng(18)
         model, data = make_model(rng, n=7)
