@@ -10,7 +10,7 @@ from .acquisition import AcquisitionSpec, beta_schedule, ei_value, pi_value, ucb
 from .direct import DirectConfig, maximize
 from .domain import BoxDomain, unit_symmetric
 from .engine import RegretTrace, RunConfig, run_bo, run_bopp
-from .gp import Dataset, FitConfig, GpModel, KernelParams, fit, log_likelihood, posterior
+from .gp import Dataset, FitConfig, GpModel, KernelParams, fit, posterior
 from .objectives import NoiseModel, Objective, external_objective, make_synthetic, observe
 from .pseudo import PseudoPointSet, PseudoSchedule, generate, mean_shift, variance_reduction
 from .theory import TheoryParams, evaluate_regret_bound
@@ -38,7 +38,6 @@ __all__ = [
     "external_objective",
     "fit",
     "generate",
-    "log_likelihood",
     "make_synthetic",
     "maximize",
     "mean_shift",

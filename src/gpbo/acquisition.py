@@ -15,8 +15,6 @@ import numpy as np
 
 __all__ = [
     "AcquisitionSpec",
-    "std_normal_cdf",
-    "std_normal_pdf",
     "pi_value",
     "ei_value",
     "ucb_value",
@@ -70,11 +68,11 @@ class AcquisitionSpec:
         return out
 
 
-def std_normal_cdf(z: float) -> float:
+def _cdf(z: float) -> float:
     return 0.5 * (1.0 + math.erf(z / _SQRT2))
 
 
-def std_normal_pdf(z: float) -> float:
+def _pdf(z: float) -> float:
     return _INV_SQRT_2PI * math.exp(-0.5 * z * z)
 
 
@@ -107,7 +105,7 @@ def pi_value(mean: float, std: float, incumbent: float) -> float:
         raise ValueError("std must be non-negative")
     if std == 0.0:
         return 1.0 if mean > incumbent else 0.0
-    return std_normal_cdf((mean - incumbent) / std)
+    return _cdf((mean - incumbent) / std)
 
 
 def ei_value(mean: float, std: float, incumbent: float) -> float:
@@ -118,7 +116,7 @@ def ei_value(mean: float, std: float, incumbent: float) -> float:
     if std == 0.0:
         return 0.0
     z = (mean - incumbent) / std
-    return (mean - incumbent) * std_normal_cdf(z) + std * std_normal_pdf(z)
+    return (mean - incumbent) * _cdf(z) + std * _pdf(z)
 
 
 def ucb_value(mean: float, std: float, beta: float) -> float:

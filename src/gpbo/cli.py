@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,17 +49,20 @@ class AlgorithmSpec:
     acquisition: str
     tau0: float = 0.0
 
+    def __post_init__(self):
+        if self.acquisition not in ("pi", "ei", "ucb"):
+            raise ValueError(f"acquisition must be pi, ei or ucb, got {self.acquisition!r}")
+        if not (math.isfinite(self.tau0) and self.tau0 >= 0):
+            raise ValueError(f"tau0 must be non-negative and finite, got {self.tau0!r}")
+
     @classmethod
     def parse(cls, label: str) -> "AlgorithmSpec":
         """Parse labels like ``ucb``, ``pi-pp001``, ``ei-pp0001``."""
         parts = label.lower().split("-")
-        acqu = parts[0]
-        if acqu not in ("pi", "ei", "ucb"):
-            raise ValueError(f"unknown acquisition in algorithm label {label!r}")
         if len(parts) == 1:
-            return cls(label.lower(), acqu, 0.0)
+            return cls(label.lower(), parts[0])
         if len(parts) == 2 and parts[1] in _PP_PRESETS:
-            return cls(label.lower(), acqu, _PP_PRESETS[parts[1]])
+            return cls(label.lower(), parts[0], _PP_PRESETS[parts[1]])
         raise ValueError(
             f"cannot parse algorithm label {label!r}; use e.g. ucb, ucb-pp01, pi-pp0001"
         )
@@ -67,10 +70,13 @@ class AlgorithmSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Fully-resolved description of one experiment."""
+    """Fully-resolved description of one experiment.
 
-    objective: str
-    algorithms: tuple[AlgorithmSpec, ...]
+    The ``external_*`` fields are the ``external`` block of the JSON form.
+    """
+
+    objective: str = "griewank"
+    algorithms: tuple[AlgorithmSpec, ...] = (AlgorithmSpec("ucb", "ucb"),)
     repeats: int = 20
     budget: int = 100
     initial_points: int = 5
@@ -91,81 +97,91 @@ class ExperimentConfig:
             raise ValueError("at least one algorithm is required")
 
     def to_dict(self) -> dict:
-        d = {
-            "objective": self.objective,
-            "algorithms": [
-                {"name": a.name, "acquisition": a.acquisition, "tau0": a.tau0}
-                for a in self.algorithms
-            ],
-            "repeats": self.repeats,
-            "budget": self.budget,
-            "initial_points": self.initial_points,
-            "seed": self.seed,
-            "noise_variance": self.noise_variance,
-            "delta": self.delta,
-            "standardize": self.standardize,
-            "out_dir": self.out_dir,
-            "jobs": self.jobs,
-        }
+        """The JSON form that ``config_from_dict`` reads back."""
+        out, external = {}, {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name == "algorithms":
+                out[f.name] = [asdict(a) for a in value]
+            elif f.name.startswith(_EXTERNAL):
+                external[f.name.removeprefix(_EXTERNAL)] = value
+            else:
+                out[f.name] = value
         if self.external_command is not None:
-            d["external"] = {
-                "command": self.external_command,
-                "lower": list(self.external_lower),
-                "upper": list(self.external_upper),
-            }
-        return d
+            out["external"] = external
+        return out
 
 
-_CONFIG_KEYS = frozenset({
-    "objective", "algorithms", "repeats", "budget", "initial_points", "seed",
-    "noise_variance", "delta", "standardize", "out_dir", "jobs", "external",
-})
-_ALGORITHM_KEYS = frozenset({"name", "acquisition", "tau0"})
-_EXTERNAL_KEYS = frozenset({"command", "lower", "upper"})
+_EXTERNAL = "external_"
+_CONFIG_KEYS = frozenset(
+    f.name for f in fields(ExperimentConfig) if not f.name.startswith(_EXTERNAL)
+) | {"external"}
+_EXTERNAL_KEYS = frozenset(
+    f.name.removeprefix(_EXTERNAL) for f in fields(ExperimentConfig) if f.name.startswith(_EXTERNAL)
+)
+_ALGORITHM_KEYS = frozenset(f.name for f in fields(AlgorithmSpec))
 
 
-def _check_keys(block: dict, valid: frozenset, name: str) -> None:
+def _check_keys(block: dict, valid: frozenset, name: str, required=frozenset()) -> None:
     unknown = sorted(set(block) - valid)
     if unknown:
         raise ValueError(
             f"unknown {name} keys: {', '.join(unknown)}; valid keys: {', '.join(sorted(valid))}"
         )
+    missing = sorted(required - set(block))
+    if missing:
+        raise ValueError(f"{name} is missing keys: {', '.join(missing)}")
+
+
+def _field_values(cls, block: dict, name: str) -> dict:
+    """The entries of ``block`` that are fields of ``cls``; a value whose field
+    defaults to a bool, int or float is coerced to that type."""
+    values = {}
+    for f in fields(cls):
+        if f.name not in block:
+            continue
+        value = block[f.name]
+        if isinstance(f.default, (bool, int, float)):
+            kind = type(f.default)
+            try:
+                value = kind(value)
+            except (TypeError, ValueError):
+                raise ValueError(
+                    f"{name} key {f.name!r} must be {kind.__name__}, got {value!r}"
+                ) from None
+        values[f.name] = value
+    return values
+
+
+def _algorithm_from(entry, name: str) -> AlgorithmSpec:
+    if isinstance(entry, str):
+        return AlgorithmSpec.parse(entry)
+    _check_keys(entry, _ALGORITHM_KEYS, name, required=frozenset({"acquisition"}))
+    values = _field_values(AlgorithmSpec, entry, name)
+    values["name"] = entry.get("name") or entry["acquisition"]
+    try:
+        return AlgorithmSpec(**values)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    """The experiment a JSON config describes; absent keys take the field defaults."""
     _check_keys(raw, _CONFIG_KEYS, "config")
-    algorithms = []
-    for i, entry in enumerate(raw.get("algorithms", ["ucb"])):
-        if isinstance(entry, str):
-            algorithms.append(AlgorithmSpec.parse(entry))
-        else:
-            _check_keys(entry, _ALGORITHM_KEYS, f"algorithms[{i}]")
-            algorithms.append(
-                AlgorithmSpec(
-                    name=entry.get("name") or entry["acquisition"],
-                    acquisition=entry["acquisition"],
-                    tau0=float(entry.get("tau0", 0.0)),
-                )
-            )
+    values = _field_values(ExperimentConfig, raw, "config")
+    if "algorithms" in raw:
+        values["algorithms"] = tuple(
+            _algorithm_from(entry, f"algorithms[{i}]") for i, entry in enumerate(raw["algorithms"])
+        )
     external = raw.get("external")
     if external is not None:
-        _check_keys(external, _EXTERNAL_KEYS, "external")
-    return ExperimentConfig(
-        objective=raw.get("objective", "griewank"),
-        algorithms=tuple(algorithms),
-        repeats=int(raw.get("repeats", 20)),
-        budget=int(raw.get("budget", 100)),
-        initial_points=int(raw.get("initial_points", 5)),
-        seed=int(raw.get("seed", 0)),
-        noise_variance=float(raw.get("noise_variance", 1e-4)),
-        delta=float(raw.get("delta", 0.1)),
-        standardize=bool(raw.get("standardize", True)),
-        out_dir=raw.get("out_dir", "results"),
-        jobs=int(raw.get("jobs", 1)),
-        external_command=None if external is None else external["command"],
-        external_lower=None if external is None else tuple(external["lower"]),
-        external_upper=None if external is None else tuple(external["upper"]),
-    )
+        _check_keys(external, _EXTERNAL_KEYS, "external", required=_EXTERNAL_KEYS)
+        values.update(
+            external_command=external["command"],
+            external_lower=tuple(external["lower"]),
+            external_upper=tuple(external["upper"]),
+        )
+    return ExperimentConfig(**values)
 
 
 def _build_objective(config: ExperimentConfig) -> Objective:
@@ -271,6 +287,11 @@ def run_experiment(config: ExperimentConfig) -> int:
     the same initial design.  Failed runs are recorded and the remaining
     cells still execute; any failure makes the exit status non-zero.
     """
+    return _experiment(config)[0]
+
+
+def _experiment(config: ExperimentConfig) -> tuple[int, list[SummaryRow]]:
+    """``run_experiment``'s work; also returns the summary, empty when every run failed."""
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(config.to_dict(), indent=2) + "\n")
@@ -308,9 +329,8 @@ def run_experiment(config: ExperimentConfig) -> int:
     _write_init(out / "init.csv", dimension, results)
     if failures:
         (out / "failures.json").write_text(json.dumps(failures, indent=2) + "\n")
-    if results:
-        summarize(out)
-    return 1 if failures else 0
+    summary = summarize(out) if results else []
+    return (1 if failures else 0), summary
 
 
 @dataclass(frozen=True)
@@ -450,6 +470,10 @@ def _resolve_out_dir(explicit: str | None, config_value: str) -> str:
     return config_value
 
 
+# The ``gpbo run`` flags that override the config key of the same name.
+_RUN_FLAGS = ("objective", "algorithms", "seed", "repeats", "budget", "initial_points", "jobs")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="gpbo", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -481,32 +505,21 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "run":
         raw = json.loads(args.config.read_text()) if args.config else {}
         config = config_from_dict(raw)
-        overrides = {}
-        if args.objective:
-            overrides["objective"] = args.objective
-        if args.algorithms:
+        overrides = {
+            name: getattr(args, name) for name in _RUN_FLAGS if getattr(args, name) is not None
+        }
+        if "algorithms" in overrides:
             overrides["algorithms"] = tuple(
-                AlgorithmSpec.parse(a) for a in args.algorithms.split(",")
+                AlgorithmSpec.parse(a) for a in overrides["algorithms"].split(",")
             )
-        if args.seed is not None:
-            overrides["seed"] = args.seed
-        if args.repeats is not None:
-            overrides["repeats"] = args.repeats
-        if args.budget is not None:
-            overrides["budget"] = args.budget
-        if args.initial_points is not None:
-            overrides["initial_points"] = args.initial_points
-        if args.jobs is not None:
-            overrides["jobs"] = args.jobs
         overrides["out_dir"] = _resolve_out_dir(args.out, config.out_dir)
         config = replace(config, **overrides)
-        status = run_experiment(config)
-        rows, _ = _load_rows(Path(config.out_dir))
-        if not rows:
+        status, summary = _experiment(config)
+        if not summary:
             print(f"every run failed; see {Path(config.out_dir) / 'failures.json'}",
                   file=sys.stderr)
             return 1
-        for row in summarize(config.out_dir):
+        for row in summary:
             print(f"{row.algorithm}: {row.metric} = {row.mean:.6f} +- {row.std:.6f}")
         return status
 

@@ -107,11 +107,6 @@ class RegretTrace:
     def final_simple_regret(self) -> float:
         return float(self.simple_regret[-1])
 
-    @property
-    def best_observed(self) -> float:
-        return float(max(self.observations.max(initial=-np.inf),
-                         self.init_observations.max(initial=-np.inf)))
-
     def payload(self) -> dict[str, np.ndarray]:
         """The deterministic arrays: every array field except wall-clock timing."""
         arrays = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_ms"}

@@ -29,7 +29,6 @@ __all__ = [
     "posterior",
     "predict",
     "augment",
-    "log_likelihood",
     "fit",
 ]
 
@@ -273,17 +272,6 @@ def augment(model: GpModel, extra: Dataset) -> GpModel:
     w = solve_triangular(factor, centered, lower=True)
     w = solve_triangular(factor.T, w, lower=False)
     return GpModel(params, joint, factor, w, model.mean_offset, model.jitter)
-
-
-def log_likelihood(data: Dataset, params: KernelParams) -> float:
-    """Log marginal likelihood of the observations under the GP prior."""
-    if len(data) == 0:
-        raise ValueError("log likelihood requires a non-empty dataset")
-    model = build_model(data, params)
-    t = len(model)
-    quad = float(data.observations @ model.weight_vector)
-    logdet = 2.0 * float(np.sum(np.log(np.diag(model.factor))))
-    return -0.5 * quad - 0.5 * logdet - 0.5 * t * math.log(2.0 * math.pi)
 
 
 @dataclass(frozen=True)

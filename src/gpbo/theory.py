@@ -25,7 +25,6 @@ __all__ = [
     "TheoryParams",
     "RegretBoundResult",
     "mean_error_bound",
-    "theorem_mean_error_bound",
     "evaluate_regret_bound",
     "TheoryInstance",
     "CheckReport",
@@ -46,18 +45,16 @@ class TheoryParams:
 
     ``tail_a``/``tail_b`` parameterize the high-probability bound
     a*exp(-(L/b)^2) on the objective's partial-derivative tails;
-    ``lipschitz`` is an explicit slope bound used where one is known;
     ``domain_width`` is the width of each coordinate of the search box.
     """
 
     tail_a: float = 1.0
     tail_b: float = 1.0
-    lipschitz: float = 1.0
     domain_width: float = 2.0
     delta: float = 0.1
 
     def __post_init__(self):
-        if min(self.tail_a, self.tail_b, self.lipschitz, self.domain_width) <= 0:
+        if min(self.tail_a, self.tail_b, self.domain_width) <= 0:
             raise ValueError("all theory constants must be positive")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie strictly inside (0, 1)")
@@ -97,22 +94,6 @@ def mean_error_bound(
     return pseudo_count**2 * math.sqrt(1.0 + 1.0 / noise_variance) * (slope_term + noise_term)
 
 
-def theorem_mean_error_bound(
-    pseudo_count: int,
-    tau: float,
-    theory: TheoryParams,
-    noise_variance: float,
-    total_pseudo: int,
-    dimension: int,
-) -> float:
-    """The schedule-form envelope: the explicit slope bound is replaced by
-    tail_b*sqrt(log(4*d*tail_a/delta))."""
-    lipschitz = theory.tail_b * math.sqrt(math.log(4.0 * dimension * theory.tail_a / theory.delta))
-    return mean_error_bound(
-        pseudo_count, tau, lipschitz, noise_variance, total_pseudo, theory.delta, dimension
-    )
-
-
 @dataclass(frozen=True)
 class RegretBoundResult:
     """Numerical evaluation of the cumulative-regret envelope for one trace."""
@@ -124,12 +105,7 @@ class RegretBoundResult:
     capacity_constant: float
 
 
-def evaluate_regret_bound(
-    trace,
-    theory: TheoryParams,
-    pseudo_counts: np.ndarray | None = None,
-    taus: np.ndarray | None = None,
-) -> RegretBoundResult:
+def evaluate_regret_bound(trace, theory: TheoryParams) -> RegretBoundResult:
     """Evaluate sqrt(C*T*beta_T*gain) + 2 + 2*sum(mean-error terms) for a trace.
 
     ``trace`` is the :class:`gpbo.engine.RegretTrace` of a finished run.
@@ -141,18 +117,17 @@ def evaluate_regret_bound(
     """
     if not trace.unit_amplitude:
         raise ValueError("regret bound evaluation requires a unit-amplitude trace")
-    counts = trace.pseudo_counts if pseudo_counts is None else np.asarray(pseudo_counts)
-    tau_list = trace.taus if taus is None else np.asarray(taus, dtype=float)
-    if counts.shape != tau_list.shape:
-        raise ValueError("pseudo_counts and taus must have equal length")
     t_total = len(trace)
+    d = trace.dimension
     noise = trace.noise_variance
     capacity = 8.0 / math.log1p(1.0 / noise)
-    beta_final = _theorem_beta(t_total, trace.dimension, theory)
-    total = int(np.sum(counts))
+    beta_final = _theorem_beta(t_total, d, theory)
+    total = int(np.sum(trace.pseudo_counts))
+    # The theorem form bounds the slope by tail_b*sqrt(log(4*d*tail_a/delta)).
+    slope = theory.tail_b * math.sqrt(math.log(4.0 * d * theory.tail_a / theory.delta))
     terms = tuple(
-        theorem_mean_error_bound(int(l), float(tau), theory, noise, total, trace.dimension)
-        for l, tau in zip(counts, tau_list)
+        mean_error_bound(int(l), float(tau), slope, noise, total, theory.delta, d)
+        for l, tau in zip(trace.pseudo_counts, trace.taus)
     )
     gain = float(trace.info_gain[-1])
     bound = math.sqrt(capacity * t_total * beta_final * gain) + 2.0 + 2.0 * sum(terms)

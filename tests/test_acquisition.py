@@ -10,25 +10,29 @@ from gpbo import acquisition as acq
 
 
 class TestNormalHelpers:
+    """The standard normal cdf and pdf, through pi and ei at unit std and
+    incumbent 0: pi_value(z, 1, 0) is cdf(z) and ei_value(z, 1, 0) is
+    z*cdf(z) + pdf(z)."""
+
     def test_cdf_at_zero(self):
-        assert acq.std_normal_cdf(0.0) == 0.5
+        assert acq.pi_value(0.0, 1.0, 0.0) == 0.5
 
     def test_pdf_at_zero(self):
-        assert acq.std_normal_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-15)
+        assert acq.ei_value(0.0, 1.0, 0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), abs=1e-15)
 
     def test_cdf_quantile(self):
-        assert acq.std_normal_cdf(1.6448536) == pytest.approx(0.95, abs=1e-6)
+        assert acq.pi_value(1.6448536, 1.0, 0.0) == pytest.approx(0.95, abs=1e-6)
 
     def test_cdf_against_reference(self):
         grid = np.linspace(-8, 8, 2001)
-        ours = np.array([acq.std_normal_cdf(z) for z in grid])
+        ours = np.array([acq.pi_value(z, 1.0, 0.0) for z in grid])
         np.testing.assert_allclose(ours, ndtr(grid), atol=1e-12)
         assert np.all(ours >= 0.0) and np.all(ours <= 1.0)
 
     def test_pdf_against_reference(self):
         grid = np.linspace(-8, 8, 1001)
-        ref = np.exp(-0.5 * grid**2) / math.sqrt(2 * math.pi)
-        ours = np.array([acq.std_normal_pdf(z) for z in grid])
+        ref = grid * ndtr(grid) + np.exp(-0.5 * grid**2) / math.sqrt(2 * math.pi)
+        ours = np.array([acq.ei_value(z, 1.0, 0.0) for z in grid])
         np.testing.assert_allclose(ours, ref, atol=1e-12)
 
 

@@ -15,6 +15,37 @@ from gpbo.domain import unit_symmetric
 from gpbo.objectives import Objective
 
 
+# The README's example configs, and what ``gpbo run`` echoes with no config.
+README_DROPWAVE = {
+    "objective": "dropwave",
+    "algorithms": ["ucb", "ucb-pp01", "ucb-pp001", "ucb-pp0001"],
+    "repeats": 20,
+    "budget": 100,
+    "initial_points": 5,
+    "seed": 0,
+    "noise_variance": 1e-4,
+    "out_dir": "results/dropwave",
+}
+README_EXTERNAL = {
+    "objective": "external",
+    "external": {"command": "python eval.py", "lower": [-1, -1], "upper": [1, 1]},
+    "noise_variance": 0.0,
+}
+BARE_ECHO = {
+    "objective": "griewank",
+    "algorithms": [{"name": "ucb", "acquisition": "ucb", "tau0": 0.0}],
+    "repeats": 20,
+    "budget": 100,
+    "initial_points": 5,
+    "seed": 0,
+    "noise_variance": 0.0001,
+    "delta": 0.1,
+    "standardize": True,
+    "out_dir": "results",
+    "jobs": 1,
+}
+
+
 def tiny_config(tmp_path, **overrides) -> ExperimentConfig:
     base = dict(
         objective="griewank",
@@ -326,6 +357,79 @@ class TestMainEntry:
         with pytest.raises(ValueError, match=message):
             cli.main(["run", "--config", str(config_path), "--out", str(out_dir)])
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("block, message", [
+        ({"objective": "external", "external": {"command": "echo 1"}},
+         "external is missing keys: lower, upper"),
+        ({"algorithms": [{"name": "x", "tau0": 0.01}]},
+         r"algorithms\[0\] is missing keys: acquisition"),
+        ({"algorithms": [{"acquisition": "foo"}]},
+         r"algorithms\[0\]: acquisition must be pi, ei or ucb, got 'foo'"),
+        ({"algorithms": ["ucb", {"acquisition": "ucb", "tau0": -1}]},
+         r"algorithms\[1\]: tau0 must be non-negative and finite, got -1.0"),
+        ({"budget": "many"}, "config key 'budget' must be int, got 'many'"),
+    ], ids=["external-bounds", "acquisition-missing", "acquisition-unknown", "tau0-negative",
+            "budget-type"])
+    def test_run_rejects_malformed_config(self, tmp_path, block, message):
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({"budget": 3, "repeats": 1, **block}))
+        out_dir = tmp_path / "out"
+        with pytest.raises(ValueError, match=message):
+            cli.main(["run", "--config", str(config_path), "--out", str(out_dir)])
+        assert not out_dir.exists()
+
+    def test_run_summarizes_once(self, tmp_path, monkeypatch, capsys):
+        calls = []
+
+        def counted(out_dir):
+            calls.append(out_dir)
+            return summarize(out_dir)
+
+        monkeypatch.setattr(cli, "summarize", counted)
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps({
+            "algorithms": ["ucb"], "repeats": 1, "budget": 1, "initial_points": 1,
+        }))
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 0
+        assert len(calls) == 1
+        assert (out_dir / "summary.csv").exists()
+        assert "ucb: simple_regret = " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("raw, echoed", [
+        (None, BARE_ECHO),
+        (README_DROPWAVE, {
+            **BARE_ECHO,
+            "objective": "dropwave",
+            "algorithms": [
+                {"name": "ucb", "acquisition": "ucb", "tau0": 0.0},
+                {"name": "ucb-pp01", "acquisition": "ucb", "tau0": 0.01},
+                {"name": "ucb-pp001", "acquisition": "ucb", "tau0": 0.001},
+                {"name": "ucb-pp0001", "acquisition": "ucb", "tau0": 0.0001},
+            ],
+            "out_dir": "results/dropwave",
+        }),
+        (README_EXTERNAL, {
+            **BARE_ECHO,
+            "objective": "external",
+            "noise_variance": 0.0,
+            "external": {"command": "python eval.py", "lower": [-1, -1], "upper": [1, 1]},
+        }),
+    ], ids=["bare", "readme-dropwave", "readme-external"])
+    def test_config_echo_is_pinned(self, tmp_path, monkeypatch, raw, echoed):
+        def no_run(config, algo, repeat):
+            raise RuntimeError("only the echoed config is under test")
+
+        monkeypatch.setattr(cli, "_one_run", no_run)
+        monkeypatch.delenv(cli.OUT_DIR_ENV, raising=False)
+        monkeypatch.chdir(tmp_path)
+        argv = ["run"]
+        if raw is not None:
+            Path("exp.json").write_text(json.dumps(raw))
+            argv += ["--config", "exp.json"]
+        assert cli.main(argv) == 1
+        text = (Path(echoed["out_dir"]) / "config.json").read_text()
+        assert text == json.dumps(echoed, indent=2) + "\n"
 
     def test_env_var_out_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv(cli.OUT_DIR_ENV, str(tmp_path / "env_out"))

@@ -10,12 +10,7 @@ from gpbo.direct import DirectConfig
 from gpbo.engine import RegretTrace, RunConfig, run_bo, run_bopp
 from gpbo.objectives import make_synthetic
 from gpbo.pseudo import PseudoSchedule
-from gpbo.theory import (
-    TheoryParams,
-    evaluate_regret_bound,
-    mean_error_bound,
-    theorem_mean_error_bound,
-)
+from gpbo.theory import TheoryParams, evaluate_regret_bound, mean_error_bound
 
 FAST_DIRECT = DirectConfig(max_evaluations=60)
 
@@ -230,13 +225,19 @@ class TestMeanErrorBound:
         theory = TheoryParams(tail_a=1.3, tail_b=0.8, delta=0.2)
         d, noise, total = 3, 1e-2, 40
         slope = theory.tail_b * math.sqrt(math.log(4 * d * theory.tail_a / theory.delta))
-        direct_form = mean_error_bound(4, 0.03, slope, noise, total, theory.delta, d)
-        theorem_form = theorem_mean_error_bound(4, 0.03, theory, noise, total, d)
-        assert theorem_form == pytest.approx(direct_form, rel=1e-14)
+        trace = TestRegretBound.make_trace(
+            d=d, noise=noise, counts=[0, 4, 36], taus=[0.0, 0.03, 0.01]
+        )
+        terms = evaluate_regret_bound(trace, theory).mean_error_terms
+        assert terms == tuple(
+            mean_error_bound(l, tau, slope, noise, total, theory.delta, d)
+            for l, tau in ((0, 0.0), (4, 0.03), (36, 0.01))
+        )
 
 
 class TestRegretBound:
-    def make_trace(self, t_total=3, d=1, noise=1e-2, counts=None, taus=None, gains=None):
+    @staticmethod
+    def make_trace(t_total=3, d=1, noise=1e-2, counts=None, taus=None, gains=None):
         counts = np.zeros(t_total, dtype=int) if counts is None else np.asarray(counts)
         taus = np.zeros(t_total) if taus is None else np.asarray(taus, float)
         gains = np.linspace(0.4, 1.0, t_total) if gains is None else np.asarray(gains, float)

@@ -50,6 +50,19 @@ def test_engine_exports_only_the_run_loops():
     ]
 
 
+def test_package_exports_are_pinned():
+    # A name joins the public surface only with a shipped caller.
+    assert len(gpbo.__all__) == 31
+    assert set(gpbo.__all__) == {
+        "AcquisitionSpec", "BoxDomain", "Dataset", "DirectConfig", "FitConfig", "GpModel",
+        "KernelParams", "NoiseModel", "Objective", "PseudoPointSet", "PseudoSchedule",
+        "RegretTrace", "RunConfig", "TheoryParams", "beta_schedule", "ei_value",
+        "evaluate_regret_bound", "external_objective", "fit", "generate", "make_synthetic",
+        "maximize", "mean_shift", "observe", "pi_value", "posterior", "run_bo", "run_bopp",
+        "ucb_value", "unit_symmetric", "variance_reduction",
+    }
+
+
 def test_one_cholesky_path():
     # Every factorization goes through gp._chol_with_jitter: no module takes
     # scipy's Cholesky wrappers, and only gp calls LAPACK dpotrf.

@@ -217,6 +217,30 @@ class TestAugmentedPosterior:
         _, var_b = gp.predict(pseudo.augmented_model(model, other), queries)
         assert np.array_equal(var_a, var_b)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_small_tau_limit_is_halved_noise(self, seed):
+        # Each observed point gets one pseudo-point with its value.  As tau -> 0
+        # the pair acts as one observation with noise sigma^2 / 2, and the
+        # posterior gap to that model shrinks linearly in tau.
+        rng = np.random.default_rng(seed)
+        model, data = make_model(rng, n=30, noise=1e-4)
+        p = model.params
+        halved_noise = KernelParams(p.lengthscales, p.amplitude, p.noise_variance / 2)
+        halved = gp.build_model(data, halved_noise)
+        assert model.jitter == 0.0 and halved.jitter == 0.0
+        queries = rng.uniform(-1, 1, (500, 2))
+        half_mean, half_var = gp.predict(halved, queries)
+        gaps = []
+        for tau0 in (1e-3, 1e-4, 1e-5):
+            # The same generator seed gives the same displacement signs at every tau.
+            pp = generated(np.random.default_rng(seed), data, tau0=tau0)
+            augmented = pseudo.augmented_model(model, pp)
+            assert augmented.jitter == 0.0
+            mean, var = gp.predict(augmented, queries)
+            gaps.append([np.max(np.abs(mean - half_mean)), np.max(np.abs(var - half_var))])
+        ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+        assert np.all((ratios >= 8) & (ratios <= 12)), gaps
+
 
 class TestVarianceReduction:
     def test_empty_set_is_zero(self):
