@@ -95,6 +95,14 @@ class ExperimentConfig:
             raise ValueError("repeats must be at least 1")
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
+        if self.objective == "external":
+            if not self.external_command or self.external_lower is None or self.external_upper is None:
+                raise ValueError("external objective requires a command and bounds")
+        elif self.objective not in SYNTHETIC_NAMES:
+            raise ValueError(
+                f"unknown objective {self.objective!r}; valid names: "
+                f"{', '.join(SYNTHETIC_NAMES)}, external"
+            )
 
     def to_dict(self) -> dict:
         """The JSON form that ``config_from_dict`` reads back."""
@@ -135,7 +143,8 @@ def _check_keys(block: dict, valid: frozenset, name: str, required=frozenset()) 
 
 def _field_values(cls, block: dict, name: str) -> dict:
     """The entries of ``block`` that are fields of ``cls``; a value whose field
-    defaults to a bool, int or float is coerced to that type."""
+    defaults to a bool, int or float is coerced to that type.  A bool field
+    takes only a bool, and an int or float field takes no bool."""
     values = {}
     for f in fields(cls):
         if f.name not in block:
@@ -144,6 +153,8 @@ def _field_values(cls, block: dict, name: str) -> dict:
         if isinstance(f.default, (bool, int, float)):
             kind = type(f.default)
             try:
+                if (kind is bool) != isinstance(value, bool):
+                    raise TypeError
                 value = kind(value)
             except (TypeError, ValueError):
                 raise ValueError(
@@ -186,8 +197,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
 
 def _build_objective(config: ExperimentConfig) -> Objective:
     if config.objective == "external":
-        if not config.external_command:
-            raise ValueError("external objective requires a command and bounds")
         domain = BoxDomain(np.array(config.external_lower), np.array(config.external_upper))
         return external_objective(config.external_command, domain)
     return make_synthetic(config.objective)

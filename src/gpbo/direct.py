@@ -22,6 +22,9 @@ from .domain import BoxDomain
 
 __all__ = ["DirectConfig", "maximize", "NonFiniteObjectiveError"]
 
+# Relative slack in the potentially-optimal test.
+_EPSILON = 1e-4
+
 
 class NonFiniteObjectiveError(ValueError):
     """The objective returned NaN or infinity at some sampled point."""
@@ -29,21 +32,17 @@ class NonFiniteObjectiveError(ValueError):
 
 @dataclass(frozen=True)
 class DirectConfig:
-    """Budget and selection knobs for the rectangle search.
+    """Budget of the rectangle search.
 
     ``max_evaluations`` caps the objective evaluations; the search stops once
-    they are spent.  ``epsilon`` is the relative slack in the
-    potentially-optimal test.
+    they are spent.
     """
 
     max_evaluations: int = 400
-    epsilon: float = 1e-4
 
     def __post_init__(self):
         if self.max_evaluations < 1:
             raise ValueError("max_evaluations must be at least 1")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
 
 
 def _measure(levels: np.ndarray) -> float:
@@ -123,7 +122,7 @@ class _Search:
         self.measures[lo:hi] = measures
         self.count = hi
 
-    def potentially_optimal(self, epsilon: float) -> np.ndarray:
+    def potentially_optimal(self) -> np.ndarray:
         """Indices of rectangles on the lower-right convex hull of (size, value),
         in ascending size."""
         n = self.count
@@ -141,7 +140,7 @@ class _Search:
         right = np.where(below.T, slopes, np.inf).min(axis=1)
         f_min = values.min()
         if f_min != 0.0:
-            ok = epsilon <= (f_min - v) / abs(f_min) + m * right / abs(f_min)
+            ok = _EPSILON <= (f_min - v) / abs(f_min) + m * right / abs(f_min)
         else:
             ok = v - m * right <= 0.0
         return candidates[(left <= right) & (ok | np.isinf(right))]
@@ -208,7 +207,7 @@ def maximize(
     unsplit = np.zeros((1, d), dtype=int)
     search.add_rectangles(center, unsplit, search.evaluate(center), search.measures_of(unsplit))
     while search.evaluations < search.limit:
-        selected = search.potentially_optimal(config.epsilon)
+        selected = search.potentially_optimal()
         samples, owner, dims = search.trisections(selected)
         scored = min(samples.shape[0], search.limit - search.evaluations)
         values = search.evaluate(samples[:scored])

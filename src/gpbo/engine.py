@@ -136,12 +136,9 @@ def _run(objective: Objective, config: RunConfig, schedule: PseudoSchedule) -> R
     init_ss, noise_ss, pseudo_ss, fit_ss = master.spawn(4)
     init_rng = np.random.default_rng(init_ss)
     pseudo_rng = np.random.default_rng(pseudo_ss)
+    fit_rng = np.random.default_rng(fit_ss)
     noise = NoiseModel(config.noise_variance, np.random.default_rng(noise_ss))
-    fit_config = replace(
-        config.fit,
-        rng=np.random.default_rng(fit_ss),
-        fix_amplitude=config.fit.fix_amplitude or config.unit_amplitude,
-    )
+    fit_config = replace(config.fit, fix_amplitude=config.fit.fix_amplitude or config.unit_amplitude)
     direct_config = _direct_config(config, d)
 
     gp_noise = max(config.noise_variance, 1e-12)
@@ -193,7 +190,7 @@ def _run(objective: Objective, config: RunConfig, schedule: PseudoSchedule) -> R
         )
         if len(data) > 0:
             try:
-                params = gp.fit(fit_data, params, fit_config)
+                params = gp.fit(fit_data, params, fit_config, fit_rng)
             except gp.FactorizationError as exc:
                 logger.warning("iteration %d: hyper-parameter fit failed (%s); keeping previous", t, exc)
         model = gp.build_model(fit_data, params)

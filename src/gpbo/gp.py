@@ -10,7 +10,7 @@ fit takes an explicit inverse, from LAPACK ``dpotri`` on the same factor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -34,6 +34,9 @@ __all__ = [
 
 # Escalating diagonal jitter applied when a Cholesky factorization fails.
 JITTER_LADDER = (0.0, 1e-10, 1e-8, 1e-6)
+
+# Box on the signal variance during the hyper-parameter fit.
+_AMPLITUDE_BOUNDS = (1e-10, 1e10)
 
 
 class FactorizationError(RuntimeError):
@@ -153,38 +156,34 @@ class GpModel:
     """Immutable factored GP posterior state over a dataset.
 
     ``factor`` is the lower Cholesky factor of K + noise_variance*I (+jitter)
-    and ``weight_vector`` solves that matrix against the centered observations.
-    ``mean_offset`` is added back to every predicted mean; it is zero unless
-    the model was built with observation centering.
+    and ``weight_vector`` solves that matrix against the observations.
     """
 
     params: KernelParams
     data: Dataset
     factor: np.ndarray | None
     weight_vector: np.ndarray
-    mean_offset: float = 0.0
     jitter: float = 0.0
 
     def __len__(self) -> int:
         return len(self.data)
 
 
-def build_model(data: Dataset, params: KernelParams, mean_offset: float = 0.0) -> GpModel:
+def build_model(data: Dataset, params: KernelParams) -> GpModel:
     """Factorize the training covariance and solve for the weight vector.
 
     An empty dataset is allowed and yields the prior.
     """
     if len(data) == 0:
-        return GpModel(params, data, None, np.empty(0), float(mean_offset), 0.0)
+        return GpModel(params, data, None, np.empty(0), 0.0)
     if data.dimension != params.dimension:
         raise ValueError("dataset dimension does not match kernel lengthscales")
     gram = kernel_matrix(data.points, data.points, params)
     gram[np.diag_indices_from(gram)] += params.noise_variance
     factor, jitter = _chol_with_jitter(gram)
-    centered = data.observations - mean_offset
-    w = solve_triangular(factor, centered, lower=True)
+    w = solve_triangular(factor, data.observations, lower=True)
     w = solve_triangular(factor.T, w, lower=False)
-    return GpModel(params, data, factor, w, float(mean_offset), jitter)
+    return GpModel(params, data, factor, w, jitter)
 
 
 def _forward_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -218,9 +217,9 @@ def predict(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray
     amp = model.params.amplitude
     if len(model) == 0:
         m = queries.shape[0]
-        return np.full(m, model.mean_offset), np.full(m, amp)
+        return np.zeros(m), np.full(m, amp)
     cross = kernel_matrix(model.data.points, queries, model.params)
-    mean = model.mean_offset + np.cumsum(cross * model.weight_vector[:, None], axis=0)[-1]
+    mean = np.cumsum(cross * model.weight_vector[:, None], axis=0)[-1]
     half = _forward_solve(model.factor, cross)
     var = amp - np.cumsum(half * half, axis=0)[-1]
     return mean, np.maximum(var, 0.0)
@@ -232,29 +231,36 @@ def posterior(model: GpModel, x: np.ndarray) -> tuple[float, float]:
     return float(mean[0]), float(var[0])
 
 
+def _schur_block(model: GpModel, points: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, float]:
+    """The block update adding rows at ``points`` to ``model``'s factor:
+    ``half = L11^-1 k(base, points)`` (None for an empty model), and the lower
+    factor of the new rows' noisy covariance minus ``half.T @ half``, with its jitter."""
+    params = model.params
+    corner = kernel_matrix(points, points, params)
+    corner[np.diag_indices_from(corner)] += params.noise_variance + model.jitter
+    if len(model) == 0:
+        return None, *_chol_with_jitter(corner)
+    cross = kernel_matrix(model.data.points, points, params)
+    half = solve_triangular(model.factor, cross, lower=True)
+    return half, *_chol_with_jitter(corner - half.T @ half)
+
+
 def augment(model: GpModel, extra: Dataset) -> GpModel:
     """Add rows to a model by block-updating its Cholesky factor.
 
     The result's posterior matches a from-scratch rebuild on the concatenated
-    data; the base factor is reused, only the new block is factorized.  The
-    base model's mean offset also centers the extra observations.  When the
-    new block is not positive definite without extra jitter, the joint data
-    is factorized from scratch instead, so ``jitter`` stays exact.
+    data; the base factor is reused, only the new block is factorized.  When
+    the new block is not positive definite without extra jitter, the joint
+    data is factorized from scratch instead, so ``jitter`` stays exact.
     """
     if len(extra) == 0:
         return model
     if len(model) == 0:
-        return build_model(extra, model.params, model.mean_offset)
+        return build_model(extra, model.params)
     if extra.dimension != model.data.dimension:
         raise ValueError("extra points have wrong dimension")
-    params = model.params
     base = model.data
-    cross = kernel_matrix(base.points, extra.points, params)
-    corner = kernel_matrix(extra.points, extra.points, params)
-    corner[np.diag_indices_from(corner)] += params.noise_variance + model.jitter
-    # L21 solves L11 @ L21.T = cross; L22 factors the Schur complement.
-    l21 = solve_triangular(model.factor, cross, lower=True).T
-    l22, jitter = _chol_with_jitter(corner - l21 @ l21.T)
+    half, l22, jitter = _schur_block(model, extra.points)
     joint = Dataset(
         np.vstack([base.points, extra.points]),
         np.concatenate([base.observations, extra.observations]),
@@ -262,16 +268,15 @@ def augment(model: GpModel, extra: Dataset) -> GpModel:
     if jitter > 0.0:
         # The new block needs more jitter than the base factor carries; one
         # factorization of the joint matrix records a single jitter for all rows.
-        return build_model(joint, params, model.mean_offset)
-    n_old, n_new = len(base), len(extra)
-    factor = np.zeros((n_old + n_new, n_old + n_new))
+        return build_model(joint, model.params)
+    n_old = len(base)
+    factor = np.zeros((len(joint), len(joint)))
     factor[:n_old, :n_old] = model.factor
-    factor[n_old:, :n_old] = l21
+    factor[n_old:, :n_old] = half.T
     factor[n_old:, n_old:] = l22
-    centered = joint.observations - model.mean_offset
-    w = solve_triangular(factor, centered, lower=True)
+    w = solve_triangular(factor, joint.observations, lower=True)
     w = solve_triangular(factor.T, w, lower=False)
-    return GpModel(params, joint, factor, w, model.mean_offset, model.jitter)
+    return GpModel(model.params, joint, factor, w, model.jitter)
 
 
 @dataclass(frozen=True)
@@ -281,17 +286,14 @@ class FitConfig:
     The optimizer is a seeded multi-start L-BFGS search in log-parameter
     space; observation noise stays fixed.  ``fix_amplitude`` pins the signal
     variance at its initial value (used by the unit-amplitude mode of the run
-    loops).  ``rng`` may hold a caller-owned generator so repeated fits share
-    one draw stream; when None each call uses a fresh generator seeded with 0.
+    loops).
     """
 
     n_starts: int = 8
     max_iter: int = 40
     fix_amplitude: bool = False
     lengthscale_bounds: tuple[float, float] = (1e-3, 1e3)
-    amplitude_bounds: tuple[float, float] = (1e-10, 1e10)
     lengthscale_sample_range: tuple[float, float] = (0.05, 2.0)
-    rng: np.random.Generator | None = field(default=None, compare=False)
 
 
 def _lik_stack(points: np.ndarray) -> np.ndarray:
@@ -372,12 +374,15 @@ def _unpack(log_theta: np.ndarray, template: KernelParams, config: FitConfig) ->
     return KernelParams(np.exp(log_theta[:d]), amp, template.noise_variance)
 
 
-def fit(data: Dataset, init: KernelParams, config: FitConfig = FitConfig()) -> KernelParams:
+def fit(data: Dataset, init: KernelParams, config: FitConfig = FitConfig(),
+        rng: np.random.Generator | None = None) -> KernelParams:
     """Hyper-parameters maximizing the log likelihood, never worse than ``init``.
 
     Runs ``n_starts`` L-BFGS searches (the first from ``init``, the rest from
-    seeded random draws) and returns the best candidate, falling back to
-    ``init`` itself if no search improves on it.
+    random draws) and returns the best candidate, falling back to ``init``
+    itself if no search improves on it.  The draws come from ``rng``, so
+    repeated fits can share one stream; None means a fresh generator seeded
+    with 0.
     """
     if len(data) == 0:
         raise ValueError("fit requires a non-empty dataset")
@@ -386,11 +391,11 @@ def fit(data: Dataset, init: KernelParams, config: FitConfig = FitConfig()) -> K
     d = data.dimension
     y = data.observations
     stack = _lik_stack(data.points)
-    rng = config.rng if config.rng is not None else np.random.default_rng(0)
+    rng = rng if rng is not None else np.random.default_rng(0)
 
     bounds = [tuple(np.log(config.lengthscale_bounds))] * d
     if not config.fix_amplitude:
-        bounds.append(tuple(np.log(config.amplitude_bounds)))
+        bounds.append(tuple(np.log(_AMPLITUDE_BOUNDS)))
 
     lo_ls, hi_ls = config.lengthscale_sample_range
     var_y = float(np.var(y))

@@ -40,15 +40,13 @@ class PseudoPointSet:
     """Generated pseudo-points with their borrowed values.
 
     ``points`` is (l, d); ``values[i]`` equals the parent observation
-    exactly; ``clipped`` flags coordinates where the boundary rule had to
-    clip instead of preserving the exact tau displacement.
+    exactly.
     """
 
     points: np.ndarray
     values: np.ndarray
     parent_index: np.ndarray
     tau: float
-    clipped: np.ndarray
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -60,7 +58,6 @@ def empty_pseudo_set(dimension: int) -> PseudoPointSet:
         values=np.empty(0),
         parent_index=np.empty(0, dtype=int),
         tau=0.0,
-        clipped=np.empty((0, dimension), dtype=bool),
     )
 
 
@@ -109,10 +106,9 @@ def disabled_schedule() -> PseudoSchedule:
     return PseudoSchedule(tau0=0.0)
 
 
-def _displace(parent: np.ndarray, signs: np.ndarray, tau: float, domain: BoxDomain):
-    """Apply the boundary rule per coordinate; returns (point, clipped flags)."""
+def _displace(parent: np.ndarray, signs: np.ndarray, tau: float, domain: BoxDomain) -> np.ndarray:
+    """The displaced point, with the boundary rule applied per coordinate."""
     point = parent + signs * tau
-    clipped = np.zeros(parent.shape[0], dtype=bool)
     for j in range(parent.shape[0]):
         if domain.lower[j] <= point[j] <= domain.upper[j]:
             continue
@@ -121,8 +117,7 @@ def _displace(parent: np.ndarray, signs: np.ndarray, tau: float, domain: BoxDoma
             point[j] = flipped
         else:
             point[j] = min(max(point[j], domain.lower[j]), domain.upper[j])
-            clipped[j] = True
-    return point, clipped
+    return point
 
 
 def generate(
@@ -136,8 +131,8 @@ def generate(
     Each pseudo-point displaces its parent by +-tau independently per
     coordinate (signs equally likely).  When a displaced coordinate leaves
     the box the sign is flipped; if both signs leave, the coordinate is
-    clipped and flagged.  A point colliding with an existing point gets its
-    signs redrawn a bounded number of times, then is accepted as-is (the
+    clipped to the boundary.  A point colliding with an existing point gets
+    its signs redrawn a bounded number of times, then is accepted as-is (the
     model's jitter ladder absorbs the duplication).
 
     A disabled schedule returns an empty set without consuming any draws.
@@ -155,7 +150,6 @@ def generate(
         parents = np.arange(count)
     else:
         parents = rng.integers(0, len(data), size=count)
-    clipped = np.empty((count, d), dtype=bool)
     # Observed points, then the pseudo-points accepted so far.
     n = len(data)
     taken = np.empty((n + count, d))
@@ -164,18 +158,16 @@ def generate(
         parent = data.points[parent_idx]
         for _ in range(_MAX_REDRAWS + 1):
             signs = rng.integers(0, 2, size=d) * 2.0 - 1.0
-            candidate, flags = _displace(parent, signs, tau, domain)
+            candidate = _displace(parent, signs, tau, domain)
             near = np.abs(taken[: n + i] - candidate) <= _COLLISION_TOL
             if not near.all(axis=1).any():
                 break
-        clipped[i] = flags
         taken[n + i] = candidate
     return PseudoPointSet(
         points=taken[n:],
         values=data.observations[parents].copy(),
         parent_index=np.asarray(parents, dtype=int),
         tau=tau,
-        clipped=clipped,
     )
 
 
@@ -194,26 +186,27 @@ def correction_terms(
     ``P[:, q]`` is the vector p(x_q) = Ktilde^T A^-1 k_t(x_q) - k'(x_q) with
     A the base training matrix; ``M`` is the inverse of
     S = K' + noise*I - Ktilde^T A^-1 Ktilde (the augmented-block capacitance);
-    ``S_factor`` is the lower Cholesky factor of S used for the solves, with
-    diagonal jitter from the model's ladder when S needs it.  All products
-    go through triangular solves on the stored factors.
+    ``S_factor`` is the lower Cholesky factor of S from ``gp.augment``'s own
+    block update, with diagonal jitter from the ladder when S needs it.  All
+    products go through triangular solves on the stored factors.
+
+    When S needs that jitter the closed forms stop describing the augmented
+    model: ``gp.augment`` then refactors the joint matrix with the jitter on
+    every row, while here only S carries it.  With one observed point at 0.3,
+    ``KernelParams([0.5], 1.0, 1e-17)`` and a pseudo-point on that point,
+    pseudo values 0.1 and 1.1 move the augmented mean at 0.3 by 0.5, but
+    ``mean_shift`` gives 0.0.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     params = model.params
+    half_base, s_lower, _ = gp._schur_block(model, pp.points)
     cross_new = kernel_matrix(pp.points, queries, params)  # (l, m)
-    corner = kernel_matrix(pp.points, pp.points, params)
-    corner[np.diag_indices_from(corner)] += params.noise_variance + model.jitter
-    if len(model) == 0:
+    if half_base is None:
         p_mat = -cross_new
-        schur = corner
     else:
-        cross_base = kernel_matrix(model.data.points, pp.points, params)  # (t, l)
         cross_queries = kernel_matrix(model.data.points, queries, params)  # (t, m)
-        half_base = solve_triangular(model.factor, cross_base, lower=True)
         half_queries = solve_triangular(model.factor, cross_queries, lower=True)
         p_mat = half_base.T @ half_queries - cross_new
-        schur = corner - half_base.T @ half_base
-    s_lower, _ = gp._chol_with_jitter(schur)
     m_mat = cho_solve((s_lower, True), np.eye(len(pp)))
     return p_mat, m_mat, s_lower
 

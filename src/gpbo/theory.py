@@ -13,7 +13,7 @@ Reports carry the instance seed so any failure is replayable.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -177,9 +177,6 @@ def _schedule_for(instance: TheoryInstance) -> pseudo.PseudoSchedule:
     """A schedule whose computed displacement equals the instance's tau."""
     d, l = instance.dimension, instance.n_pseudo
     width = 2.0
-    if instance.tau == 0.0:
-        # tau0 > 0 keeps generation enabled; the displacement itself is zero.
-        return pseudo.PseudoSchedule(tau0=0.0, domain_width=width, mode="fixed", count=0)
     tau0 = instance.tau * d * l / width
     return pseudo.PseudoSchedule(tau0=tau0, domain_width=width, mode="fixed", count=l)
 
@@ -208,7 +205,6 @@ def build_instance(instance: TheoryInstance):
             values=data.observations[parents].copy(),
             parent_index=parents,
             tau=0.0,
-            clipped=np.zeros((instance.n_pseudo, d), dtype=bool),
         )
     else:
         pp = pseudo.generate(data, _schedule_for(instance), domain, rng)
@@ -249,10 +245,7 @@ def check_mean_shift_identity(instance: TheoryInstance, tolerance: float = 1e-8)
                            instance.seed, {"skipped": str(exc)})
     true_values = pp.values + rng.normal(0.0, 0.5, size=len(pp))
     with_copied = pseudo.augmented_model(model, pp)
-    with_true = pseudo.augmented_model(
-        model,
-        pseudo.PseudoPointSet(pp.points, true_values, pp.parent_index, pp.tau, pp.clipped),
-    )
+    with_true = pseudo.augmented_model(model, replace(pp, values=true_values))
     closed = pseudo.mean_shift(model, pp, true_values, queries)
     mu_hat, _ = gp.predict(with_copied, queries)
     mu_tilde, _ = gp.predict(with_true, queries)
@@ -302,69 +295,53 @@ def check_mean_error_envelope(
     """Monte-Carlo exceedance rate of the mean-error envelope.
 
     Each trial draws a function jointly from the GP prior at the base
-    points, the pseudo locations, the query points, and a dense slope grid;
-    the realized augmented-mean error (borrowed vs. true noisy values) is
-    compared against the envelope evaluated with the grid-estimated slope
-    bound.  The envelope is probabilistic, so the check only asserts the
-    exceedance fraction stays under ``threshold``.
+    points, the pseudo locations, and a dense slope grid; the realized
+    augmented-mean error at the query points (borrowed vs. true noisy
+    values, from the closed-form ``pseudo.mean_shift``) is compared against
+    the envelope evaluated with the grid-estimated slope bound.  The
+    envelope is probabilistic, so the check only asserts the exceedance
+    fraction stays under ``threshold``.  An instance without pseudo-points
+    (``tau`` or ``n_pseudo`` zero) has nothing to check and is rejected.
     """
+    if instance.tau == 0.0 or instance.n_pseudo == 0:
+        raise ValueError("the mean-error envelope needs tau > 0 and n_pseudo > 0")
     d = instance.dimension
     domain = unit_symmetric(d)
+    schedule = _schedule_for(instance)
+    params = KernelParams(
+        lengthscales=np.full(d, 0.6),
+        amplitude=1.0,
+        noise_variance=instance.noise_variance,
+    )
+    sigma = math.sqrt(instance.noise_variance)
+    # Dense axis-aligned grid for the per-coordinate slope estimate: row j
+    # of the (d, 96) block varies coordinate j through the box centre.
+    grid_axis = np.linspace(-1.0, 1.0, 96)
+    step = grid_axis[1] - grid_axis[0]
+    grid = np.tile(domain.center, (d, grid_axis.size, 1))
+    grid[np.arange(d), :, np.arange(d)] = grid_axis
+    grid = grid.reshape(-1, d)
     exceed = 0
     realized: list[float] = []
     bounds: list[float] = []
     for k in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([instance.seed, 0x5EED, k]))
-        params = KernelParams(
-            lengthscales=np.full(d, 0.6),
-            amplitude=1.0,
-            noise_variance=instance.noise_variance,
-        )
         base = domain.sample(rng, instance.n_base)
-        placeholder = Dataset(base, np.zeros(instance.n_base))
-        pp_shape = pseudo.generate(placeholder, _schedule_for(instance), domain, rng)
+        pp = pseudo.generate(Dataset(base, np.zeros(instance.n_base)), schedule, domain, rng)
         queries = domain.sample(rng, 8)
-        # Dense axis-aligned grid for the per-coordinate slope estimate.
-        grid_axis = np.linspace(-1.0, 1.0, 96)
-        grids = []
-        for j in range(d):
-            g = np.tile(domain.center, (grid_axis.size, 1))
-            g[:, j] = grid_axis
-            grids.append(g)
-        grid = np.vstack(grids)
-        everything = np.vstack([base, pp_shape.points, grid])
+        everything = np.vstack([base, pp.points, grid])
         cov = gp.kernel_matrix(everything, everything, params)
         cov[np.diag_indices_from(cov)] += 1e-10
         f_all = np.linalg.cholesky(cov) @ rng.standard_normal(everything.shape[0])
-        n_b, n_p = instance.n_base, len(pp_shape)
-        f_base = f_all[:n_b]
-        f_pseudo = f_all[n_b : n_b + n_p]
-        f_grid = f_all[n_b + n_p :]
-        slope = 0.0
-        step = grid_axis[1] - grid_axis[0]
-        for j in range(d):
-            vals = f_grid[j * grid_axis.size : (j + 1) * grid_axis.size]
-            slope = max(slope, float(np.max(np.abs(np.diff(vals)))) / step)
+        n_b, n_p = instance.n_base, len(pp)
+        f_base, f_pseudo, f_grid = np.split(f_all, [n_b, n_b + n_p])
+        slope = float(np.max(np.abs(np.diff(f_grid.reshape(d, -1))))) / step
 
-        sigma = math.sqrt(instance.noise_variance)
         y_base = f_base + sigma * rng.standard_normal(n_b)
-        data = Dataset(base, y_base)
-        model = gp.build_model(data, params)
-        pp = pseudo.PseudoPointSet(
-            points=pp_shape.points,
-            values=y_base[pp_shape.parent_index],
-            parent_index=pp_shape.parent_index,
-            tau=pp_shape.tau,
-            clipped=pp_shape.clipped,
-        )
+        model = gp.build_model(Dataset(base, y_base), params)
+        pp = replace(pp, values=y_base[pp.parent_index])
         y_true = f_pseudo + sigma * rng.standard_normal(n_p)
-        with_copied = pseudo.augmented_model(model, pp)
-        with_true = pseudo.augmented_model(
-            model, pseudo.PseudoPointSet(pp.points, y_true, pp.parent_index, pp.tau, pp.clipped)
-        )
-        mu_hat, _ = gp.predict(with_copied, queries)
-        mu_tilde, _ = gp.predict(with_true, queries)
-        worst = float(np.max(np.abs(mu_hat - mu_tilde)))
+        worst = float(np.max(np.abs(pseudo.mean_shift(model, pp, y_true, queries))))
         envelope = mean_error_bound(
             n_p, pp.tau, slope, instance.noise_variance, n_p, theory.delta, d
         )

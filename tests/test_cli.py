@@ -368,8 +368,18 @@ class TestMainEntry:
         ({"algorithms": ["ucb", {"acquisition": "ucb", "tau0": -1}]},
          r"algorithms\[1\]: tau0 must be non-negative and finite, got -1.0"),
         ({"budget": "many"}, "config key 'budget' must be int, got 'many'"),
+        ({"objective": "dropwav"},
+         "unknown objective 'dropwav'; valid names: dropwave, griewank, hart6, rastrigin, external"),
+        ({"objective": "external"}, "external objective requires a command and bounds"),
+        ({"standardize": "false"}, "config key 'standardize' must be bool, got 'false'"),
+        ({"standardize": 0}, "config key 'standardize' must be bool, got 0"),
+        ({"budget": True}, "config key 'budget' must be int, got True"),
+        ({"noise_variance": False}, "config key 'noise_variance' must be float, got False"),
+        ({"algorithms": [{"acquisition": "ucb", "tau0": True}]},
+         r"algorithms\[0\] key 'tau0' must be float, got True"),
     ], ids=["external-bounds", "acquisition-missing", "acquisition-unknown", "tau0-negative",
-            "budget-type"])
+            "budget-type", "objective-unknown", "external-block-missing", "bool-from-string",
+            "bool-from-int", "int-from-bool", "float-from-bool", "algorithm-float-from-bool"])
     def test_run_rejects_malformed_config(self, tmp_path, block, message):
         config_path = tmp_path / "exp.json"
         config_path.write_text(json.dumps({"budget": 3, "repeats": 1, **block}))
@@ -377,6 +387,16 @@ class TestMainEntry:
         with pytest.raises(ValueError, match=message):
             cli.main(["run", "--config", str(config_path), "--out", str(out_dir)])
         assert not out_dir.exists()
+
+    def test_run_rejects_unknown_objective_flag(self, tmp_path):
+        out_dir = tmp_path / "out"
+        with pytest.raises(ValueError, match="unknown objective 'dropwav'"):
+            cli.main(["run", "--objective", "dropwav", "--out", str(out_dir)])
+        assert not out_dir.exists()
+
+    def test_json_booleans_accepted(self):
+        config = config_from_dict({"standardize": False})
+        assert config.standardize is False
 
     def test_run_summarizes_once(self, tmp_path, monkeypatch, capsys):
         calls = []

@@ -118,8 +118,6 @@ class TestContracts:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DirectConfig(max_evaluations=0)
-        with pytest.raises(ValueError):
-            DirectConfig(epsilon=-0.1)
 
 
 # --- reference: the one-point-per-call search the batched loop replaced ------

@@ -1,6 +1,7 @@
 """Run-loop behavior: determinism, pairing, regret bookkeeping, bound math."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -121,9 +122,9 @@ class TestRunBopp:
         seen: list[np.ndarray] = []
         original_fit = gp.fit
 
-        def recording_fit(data, init, config):
+        def recording_fit(data, init, config, rng=None):
             seen.append(data.points.copy())
-            return original_fit(data, init, config)
+            return original_fit(data, init, config, rng)
 
         monkeypatch.setattr(gp, "fit", recording_fit)
         trace = run_bopp(obj, cfg)
@@ -131,6 +132,21 @@ class TestRunBopp:
         for t, pts in enumerate(seen):
             # Iteration t fits on the first initial_points + t true points.
             np.testing.assert_array_equal(pts, true_points[: cfg.initial_points + t])
+
+    def test_fits_share_one_restart_stream(self, monkeypatch):
+        """Every fit of a run draws its restarts from the run's own fit substream."""
+        streams = []
+        original_fit = gp.fit
+
+        def recording_fit(data, init, config, rng=None):
+            streams.append(rng)
+            return original_fit(data, init, config, rng)
+
+        monkeypatch.setattr(gp, "fit", recording_fit)
+        run_bo(make_synthetic("griewank"), fast_config(budget=3))
+        assert len(streams) == 3
+        assert isinstance(streams[0], np.random.Generator)
+        assert all(rng is streams[0] for rng in streams)
 
     def test_first_fit_unaffected_by_pseudo_values(self, monkeypatch):
         """Given the same true data, perturbed pseudo values leave the fit alone."""
@@ -143,9 +159,7 @@ class TestRunBopp:
             pp = original(data, schedule, domain, rng)
             if len(pp) == 0:
                 return pp
-            return pseudo.PseudoPointSet(
-                pp.points, pp.values + 123.0, pp.parent_index, pp.tau, pp.clipped
-            )
+            return replace(pp, values=pp.values + 123.0)
 
         monkeypatch.setattr(pseudo, "generate", perturbed)
         tampered = run_bopp(obj, cfg)
@@ -172,11 +186,11 @@ class TestFitFallback:
         original_fit = gp.fit
         calls = {"n": 0}
 
-        def failing_once(data, init, config):
+        def failing_once(data, init, config, rng=None):
             calls["n"] += 1
             if calls["n"] == 2:
                 raise gp.FactorizationError("synthetic conditioning failure")
-            return original_fit(data, init, config)
+            return original_fit(data, init, config, rng)
 
         monkeypatch.setattr(gp, "fit", failing_once)
         import logging

@@ -170,7 +170,7 @@ class TestPosterior:
         for n, noise in ((0, 1e-3), (1, 1e-3), (12, 1e-3), (60, 1e-3), (105, 1e-4)):
             d = int(rng.integers(1, 7)) if n < 105 else 2
             params = random_params(rng, d, noise=noise)
-            base = gp.build_model(random_dataset(rng, n, d), params, mean_offset=0.4)
+            base = gp.build_model(random_dataset(rng, n, d), params)
             extra = Dataset(base.data.points[: n // 2] + 1e-3, base.data.observations[: n // 2])
             for model in (base, gp.augment(base, extra)):
                 queries = np.vstack([rng.uniform(-1, 1, (300, d)), model.data.points[:3]])
@@ -200,16 +200,6 @@ class TestPosterior:
         model = gp.build_model(data, p)
         mean, _ = gp.predict(model, data.points)
         assert np.max(np.abs(mean - data.observations)) < 1e-4
-
-    def test_mean_offset_added_back(self):
-        rng = np.random.default_rng(10)
-        p = random_params(rng, 1)
-        data = random_dataset(rng, 5, 1)
-        offset = float(np.mean(data.observations))
-        model = gp.build_model(data, p, mean_offset=offset)
-        far = np.array([50.0])  # far from all data: reverts to the offset
-        mean, _ = gp.posterior(model, far)
-        assert mean == pytest.approx(offset, abs=1e-6)
 
     def test_factor_reconstructs_training_matrix(self):
         rng = np.random.default_rng(11)
@@ -264,23 +254,6 @@ class TestAugment:
         _, var_small = gp.predict(model, queries)
         _, var_big = gp.predict(bigger, queries)
         assert np.all(var_big <= var_small + 1e-9)
-
-    def test_offset_carried_through(self):
-        rng = np.random.default_rng(16)
-        p = random_params(rng, 1)
-        base = random_dataset(rng, 4, 1)
-        extra = random_dataset(rng, 2, 1)
-        aug = gp.augment(gp.build_model(base, p, mean_offset=0.6), extra)
-        scratch = gp.build_model(
-            Dataset(
-                np.vstack([base.points, extra.points]),
-                np.concatenate([base.observations, extra.observations]),
-            ),
-            p,
-            mean_offset=0.6,
-        )
-        x = rng.uniform(-1, 1, 1)
-        assert gp.posterior(aug, x)[0] == pytest.approx(gp.posterior(scratch, x)[0], rel=1e-8)
 
     def test_records_jitter_of_the_new_block(self):
         # Noise so small that 1 + noise rounds to 1: the duplicate row's Schur

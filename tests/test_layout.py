@@ -1,6 +1,7 @@
 """Package layout: every exported name resolves, and the layers import downward."""
 
 import ast
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -74,3 +75,31 @@ def test_one_cholesky_path():
             named = getattr(node, "id", None) or getattr(node, "attr", None)
             if isinstance(node, (ast.Name, ast.Attribute)) and named == "dpotrf":
                 assert path.name == "gp.py", f"{path.name} calls dpotrf"
+
+
+def test_one_block_update():
+    # The closed forms take the pseudo-point block from gp's own update, so
+    # no module but gp factorizes anything.
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "gp.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            named = getattr(node, "id", None) or getattr(node, "attr", None)
+            assert named != "_chol_with_jitter", f"{path.name} factorizes a block itself"
+
+
+# A knob or field joins these only with a shipped caller.
+PINNED_FIELDS = {
+    "RunConfig": ["budget", "initial_points", "acquisition_kind", "delta", "noise_variance",
+                  "pseudo", "seed", "standardize", "unit_amplitude", "fit", "direct_config"],
+    "FitConfig": ["n_starts", "max_iter", "fix_amplitude", "lengthscale_bounds",
+                  "lengthscale_sample_range"],
+    "DirectConfig": ["max_evaluations"],
+    "GpModel": ["params", "data", "factor", "weight_vector", "jitter"],
+    "PseudoPointSet": ["points", "values", "parent_index", "tau"],
+}
+
+
+@pytest.mark.parametrize("name", PINNED_FIELDS)
+def test_fields_are_pinned(name):
+    assert [f.name for f in dataclasses.fields(getattr(gpbo, name))] == PINNED_FIELDS[name]

@@ -6,6 +6,8 @@ posteriors, and the mean shift against a pair of explicitly augmented
 models.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -40,18 +42,17 @@ def reference_generate(data, schedule, domain, rng):
     else:
         parents = rng.integers(0, len(data), size=count)
     taken = [data.points[i] for i in range(len(data))]
-    points, clipped = [], []
+    points = []
     for parent_idx in parents:
         for _ in range(pseudo._MAX_REDRAWS + 1):
             signs = rng.integers(0, 2, size=domain.dimension) * 2.0 - 1.0
-            candidate, flags = pseudo._displace(data.points[parent_idx], signs, tau, domain)
+            candidate = pseudo._displace(data.points[parent_idx], signs, tau, domain)
             if not any(np.all(np.abs(candidate - q) <= pseudo._COLLISION_TOL) for q in taken):
                 break
         points.append(candidate)
-        clipped.append(flags)
         taken.append(candidate)
     return PseudoPointSet(np.array(points), data.observations[parents].copy(),
-                          np.asarray(parents, dtype=int), tau, np.array(clipped))
+                          np.asarray(parents, dtype=int), tau)
 
 
 class TestGenerate:
@@ -102,8 +103,8 @@ class TestGenerate:
             pp = generated(rng, data, tau0=float(rng.uniform(0.001, 0.05)))
             parents = data.points[pp.parent_index]
             offsets = np.abs(pp.points - parents)
-            free = ~pp.clipped
-            assert np.allclose(offsets[free], pp.tau, rtol=0, atol=1e-15)
+            # tau is far below the box width, so no coordinate needs clipping.
+            assert np.allclose(offsets, pp.tau, rtol=0, atol=1e-15)
 
     def test_boundary_flip_preserves_distance(self):
         rng = np.random.default_rng(6)
@@ -113,7 +114,7 @@ class TestGenerate:
         for _ in range(10):
             pp = pseudo.generate(data, schedule, unit_symmetric(1), rng)
             assert pp.points[0, 0] == pytest.approx(0.9)
-            assert not pp.clipped[0, 0]
+            assert abs(pp.points[0, 0] - 1.0) == pytest.approx(pp.tau, rel=0, abs=1e-15)
 
     def test_boundary_clip_flags_coordinate(self):
         rng = np.random.default_rng(7)
@@ -121,8 +122,10 @@ class TestGenerate:
         data = Dataset(np.array([[0.02]]), [0.0])
         schedule = PseudoSchedule(tau0=0.05, domain_width=0.05)
         pp = pseudo.generate(data, schedule, domain, rng)
-        # tau = 0.05*0.05/1 = 0.0025... both signs fit: adjust to force clipping
+        # tau = 0.05*0.05/1 = 0.0025 and both signs fit: the coordinate is free,
+        # so it sits exactly tau from its parent.
         assert pp.tau == pytest.approx(0.0025)
+        assert abs(pp.points[0, 0] - 0.02) == pytest.approx(pp.tau, rel=0, abs=1e-15)
 
     def test_both_sides_out_clips(self):
         rng = np.random.default_rng(8)
@@ -131,8 +134,8 @@ class TestGenerate:
         # tau bigger than the box: domain_width 0.01, tau0 = 10 -> tau = 0.1
         schedule = PseudoSchedule(tau0=10.0, domain_width=0.01)
         pp = pseudo.generate(data, schedule, domain, rng)
-        assert pp.clipped[0, 0]
-        assert 0.0 <= pp.points[0, 0] <= 0.01
+        # Both signs leave the box: the coordinate is clipped onto its boundary.
+        assert pp.points[0, 0] in (0.0, 0.01)
 
     def test_collision_redraw_accepts_eventually(self):
         rng = np.random.default_rng(9)
@@ -157,7 +160,7 @@ class TestGenerate:
         pp = pseudo.generate(data, schedule, domain, rng)
         ref_rng = np.random.default_rng(12)
         ref = reference_generate(data, schedule, domain, ref_rng)
-        for name in ("points", "values", "parent_index", "clipped"):
+        for name in ("points", "values", "parent_index"):
             np.testing.assert_array_equal(getattr(pp, name), getattr(ref, name))
         assert pp.tau == ref.tau
         assert rng.bit_generator.state == ref_rng.bit_generator.state
@@ -183,7 +186,7 @@ class TestAugmentedPosterior:
         rng = np.random.default_rng(12)
         model, data = make_model(rng, n=3)
         pp = generated(rng, data, tau0=0.05)
-        pp = PseudoPointSet(pp.points[:2], pp.values[:2], pp.parent_index[:2], pp.tau, pp.clipped[:2])
+        pp = PseudoPointSet(pp.points[:2], pp.values[:2], pp.parent_index[:2], pp.tau)
         x = rng.uniform(-1, 1, 2)
         mean, var = gp.posterior(pseudo.augmented_model(model, pp), x)
         joint_pts = np.vstack([data.points, pp.points])
@@ -209,9 +212,7 @@ class TestAugmentedPosterior:
         rng = np.random.default_rng(14)
         model, data = make_model(rng)
         pp = generated(rng, data)
-        other = PseudoPointSet(
-            pp.points, pp.values + rng.normal(size=len(pp)), pp.parent_index, pp.tau, pp.clipped
-        )
+        other = replace(pp, values=pp.values + rng.normal(size=len(pp)))
         queries = rng.uniform(-1, 1, (20, 2))
         _, var_a = gp.predict(pseudo.augmented_model(model, pp), queries)
         _, var_b = gp.predict(pseudo.augmented_model(model, other), queries)
@@ -253,8 +254,7 @@ class TestVarianceReduction:
         model, data = make_model(rng, n=4, amplitude=1.0)
         pp_full = generated(rng, data, tau0=0.05)
         pp = PseudoPointSet(
-            pp_full.points[:1], pp_full.values[:1], pp_full.parent_index[:1],
-            pp_full.tau, pp_full.clipped[:1],
+            pp_full.points[:1], pp_full.values[:1], pp_full.parent_index[:1], pp_full.tau
         )
         x = rng.uniform(-1, 1, 2)
         noise = model.params.noise_variance
@@ -285,9 +285,7 @@ class TestVarianceReduction:
         # builds with jitter, and the closed form must take the same ladder.
         params = KernelParams(lengthscales=np.array([0.5]), amplitude=1.0, noise_variance=1e-17)
         model = gp.build_model(Dataset(np.array([[0.3]]), [0.1]), params)
-        pp = PseudoPointSet(
-            np.array([[0.3]]), np.array([0.1]), np.array([0]), 0.0, np.zeros((1, 1), dtype=bool)
-        )
+        pp = PseudoPointSet(np.array([[0.3]]), np.array([0.1]), np.array([0]), 0.0)
         aug = pseudo.augmented_model(model, pp)
         assert aug.jitter > 0.0
         for q in (0.0, 0.3, -0.7):
@@ -307,6 +305,21 @@ class TestVarianceReduction:
             _, aug_var = gp.posterior(aug, x)
             dv = pseudo.variance_reduction(model, pp, x)
             assert aug_var + dv == pytest.approx(base_var, abs=1e-8)
+
+
+class TestOneBlockUpdate:
+    def test_s_factor_is_augments_lower_right_block(self):
+        # The closed forms and the augmented model share gp's block update,
+        # so S's factor is bit for bit the new rows' block of augment's factor.
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            n, d = int(rng.integers(1, 13)), int(rng.integers(1, 4))
+            model, data = make_model(rng, n=n, d=d, noise=float(rng.uniform(1e-4, 1e-1)))
+            pp = generated(rng, data, tau0=float(rng.uniform(0.005, 0.08)))
+            aug = pseudo.augmented_model(model, pp)
+            assert aug.jitter == model.jitter
+            _, _, s_lower = pseudo.correction_terms(model, pp, rng.uniform(-1, 1, (3, d)))
+            np.testing.assert_array_equal(s_lower, aug.factor[n:, n:])
 
 
 class TestCorrectionBounds:
@@ -335,8 +348,7 @@ class TestMeanShift:
         model, data = make_model(rng, n=3)
         pp_full = generated(rng, data, tau0=0.05)
         pp = PseudoPointSet(
-            pp_full.points[:1], pp_full.values[:1], pp_full.parent_index[:1],
-            pp_full.tau, pp_full.clipped[:1],
+            pp_full.points[:1], pp_full.values[:1], pp_full.parent_index[:1], pp_full.tau
         )
         x = rng.uniform(-1, 1, 2)
         c = 0.37
@@ -354,10 +366,7 @@ class TestMeanShift:
             pp = generated(rng, data, tau0=float(rng.uniform(0.005, 0.08)))
             true_vals = pp.values + rng.normal(0, 0.5, size=len(pp))
             with_copied = pseudo.augmented_model(model, pp)
-            with_true = pseudo.augmented_model(
-                model,
-                PseudoPointSet(pp.points, true_vals, pp.parent_index, pp.tau, pp.clipped),
-            )
+            with_true = pseudo.augmented_model(model, replace(pp, values=true_vals))
             for x in rng.uniform(-1, 1, (4, d)):
                 closed = pseudo.mean_shift(model, pp, true_vals, x)
                 mu_hat, _ = gp.posterior(with_copied, x)

@@ -2,11 +2,13 @@
 and batch pass rates."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gpbo import theory
+from gpbo import gp, pseudo, theory
+from gpbo.domain import unit_symmetric
 from gpbo.theory import (
     TheoryInstance,
     TheoryParams,
@@ -103,7 +105,71 @@ class TestIdentitySuite:
             assert {"name", "passed", "max_error", "seed"} <= set(d)
 
 
+def two_model_envelope(instance, trials, theory_params):
+    """The envelope's realized errors and bounds per trial, from two explicitly
+    augmented models (borrowed and true values) and the per-coordinate slope
+    loop: the route the closed-form check replaced."""
+    d = instance.dimension
+    domain = unit_symmetric(d)
+    realized, bounds = [], []
+    for k in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence([instance.seed, 0x5EED, k]))
+        params = gp.KernelParams(np.full(d, 0.6), 1.0, instance.noise_variance)
+        base = domain.sample(rng, instance.n_base)
+        placeholder = gp.Dataset(base, np.zeros(instance.n_base))
+        pp_shape = pseudo.generate(placeholder, theory._schedule_for(instance), domain, rng)
+        queries = domain.sample(rng, 8)
+        grid_axis = np.linspace(-1.0, 1.0, 96)
+        grids = []
+        for j in range(d):
+            g = np.tile(domain.center, (grid_axis.size, 1))
+            g[:, j] = grid_axis
+            grids.append(g)
+        everything = np.vstack([base, pp_shape.points] + grids)
+        cov = gp.kernel_matrix(everything, everything, params)
+        cov[np.diag_indices_from(cov)] += 1e-10
+        f_all = np.linalg.cholesky(cov) @ rng.standard_normal(everything.shape[0])
+        n_b, n_p = instance.n_base, len(pp_shape)
+        f_grid = f_all[n_b + n_p:]
+        step = grid_axis[1] - grid_axis[0]
+        slope = 0.0
+        for j in range(d):
+            vals = f_grid[j * grid_axis.size:(j + 1) * grid_axis.size]
+            slope = max(slope, float(np.max(np.abs(np.diff(vals)))) / step)
+        sigma = math.sqrt(instance.noise_variance)
+        y_base = f_all[:n_b] + sigma * rng.standard_normal(n_b)
+        model = gp.build_model(gp.Dataset(base, y_base), params)
+        pp = replace(pp_shape, values=y_base[pp_shape.parent_index])
+        y_true = f_all[n_b:n_b + n_p] + sigma * rng.standard_normal(n_p)
+        mu_hat, _ = gp.predict(pseudo.augmented_model(model, pp), queries)
+        mu_tilde, _ = gp.predict(pseudo.augmented_model(model, replace(pp, values=y_true)), queries)
+        realized.append(float(np.max(np.abs(mu_hat - mu_tilde))))
+        bounds.append(theory.mean_error_bound(
+            n_p, pp.tau, slope, instance.noise_variance, n_p, theory_params.delta, d))
+    return np.array(realized), np.array(bounds)
+
+
 class TestMeanErrorEnvelope:
+    @pytest.mark.parametrize("instance", [
+        TheoryInstance(dimension=1, n_base=4, n_pseudo=2, tau=0.05, noise_variance=1e-2, seed=0),
+        TheoryInstance(dimension=2, n_base=6, n_pseudo=3, tau=0.08, noise_variance=1e-3, seed=5),
+        TheoryInstance(dimension=3, n_base=3, n_pseudo=4, tau=0.02, noise_variance=5e-2, seed=8),
+    ], ids=["d1", "d2", "d3"])
+    def test_closed_form_matches_two_model_route(self, instance):
+        params = TheoryParams()
+        report = check_mean_error_envelope(instance, trials=25, theory=params)
+        realized, bounds = two_model_envelope(instance, 25, params)
+        assert report.detail["mean_realized"] == pytest.approx(np.mean(realized), rel=1e-10)
+        assert report.detail["mean_envelope"] == float(np.mean(bounds))
+        assert report.detail["exceedances"] == int(np.sum(realized > bounds))
+
+    @pytest.mark.parametrize("sizes", [dict(tau=0.0, n_pseudo=2), dict(tau=0.05, n_pseudo=0)],
+                             ids=["tau0", "no-pseudo"])
+    def test_instance_without_pseudo_points_rejected(self, sizes):
+        instance = TheoryInstance(dimension=1, n_base=4, noise_variance=1e-2, **sizes)
+        with pytest.raises(ValueError, match="needs tau > 0 and n_pseudo > 0"):
+            check_mean_error_envelope(instance, trials=5, theory=TheoryParams())
+
     def test_exceedance_under_threshold(self):
         report = check_mean_error_envelope(
             TheoryInstance(dimension=1, n_base=4, n_pseudo=2, tau=0.05,
@@ -129,8 +195,6 @@ class TestMeanErrorEnvelope:
     def test_degenerate_noise_free_duplicates_shift_nothing(self):
         # tau = 0 with noise-free borrowed values: both augmentations coincide.
         rng = np.random.default_rng(11)
-        from gpbo import gp, pseudo
-
         params = gp.KernelParams(np.array([0.5]), 1.0, 1e-4)
         data = gp.Dataset(rng.uniform(-1, 1, (4, 1)), rng.normal(size=4))
         model = gp.build_model(data, params)
@@ -139,7 +203,6 @@ class TestMeanErrorEnvelope:
             values=data.observations[:2].copy(),
             parent_index=np.arange(2),
             tau=0.0,
-            clipped=np.zeros((2, 1), dtype=bool),
         )
         # True values equal the borrowed ones when noise draws are zero.
         for x in rng.uniform(-1, 1, (8, 1)):
