@@ -142,9 +142,10 @@ def _check_keys(block: dict, valid: frozenset, name: str, required=frozenset()) 
 
 
 def _field_values(cls, block: dict, name: str) -> dict:
-    """The entries of ``block`` that are fields of ``cls``; a value whose field
-    defaults to a bool, int or float is coerced to that type.  A bool field
-    takes only a bool, and an int or float field takes no bool."""
+    """The entries of ``block`` that are fields of ``cls``.  A value whose field
+    defaults to a bool, int or float must already be a JSON value of that type:
+    a bool field takes only a bool, an int field only an integer, and a float
+    field an integer or a float.  No number field takes a bool or a string."""
     values = {}
     for f in fields(cls):
         if f.name not in block:
@@ -152,14 +153,10 @@ def _field_values(cls, block: dict, name: str) -> dict:
         value = block[f.name]
         if isinstance(f.default, (bool, int, float)):
             kind = type(f.default)
-            try:
-                if (kind is bool) != isinstance(value, bool):
-                    raise TypeError
-                value = kind(value)
-            except (TypeError, ValueError):
-                raise ValueError(
-                    f"{name} key {f.name!r} must be {kind.__name__}, got {value!r}"
-                ) from None
+            accepted = (int, float) if kind is float else kind
+            if (kind is bool) != isinstance(value, bool) or not isinstance(value, accepted):
+                raise ValueError(f"{name} key {f.name!r} must be {kind.__name__}, got {value!r}")
+            value = kind(value)
         values[f.name] = value
     return values
 

@@ -377,9 +377,18 @@ class TestMainEntry:
         ({"noise_variance": False}, "config key 'noise_variance' must be float, got False"),
         ({"algorithms": [{"acquisition": "ucb", "tau0": True}]},
          r"algorithms\[0\] key 'tau0' must be float, got True"),
+        ({"budget": 3.7}, "config key 'budget' must be int, got 3.7"),
+        ({"repeats": 2.9}, "config key 'repeats' must be int, got 2.9"),
+        ({"budget": 3.0}, "config key 'budget' must be int, got 3.0"),
+        ({"budget": "7"}, "config key 'budget' must be int, got '7'"),
+        ({"noise_variance": "1e-3"}, "config key 'noise_variance' must be float, got '1e-3'"),
+        ({"algorithms": [{"acquisition": "ucb", "tau0": "0.01"}]},
+         r"algorithms\[0\] key 'tau0' must be float, got '0.01'"),
     ], ids=["external-bounds", "acquisition-missing", "acquisition-unknown", "tau0-negative",
             "budget-type", "objective-unknown", "external-block-missing", "bool-from-string",
-            "bool-from-int", "int-from-bool", "float-from-bool", "algorithm-float-from-bool"])
+            "bool-from-int", "int-from-bool", "float-from-bool", "algorithm-float-from-bool",
+            "int-from-fraction", "repeats-from-fraction", "int-from-integral-float",
+            "int-from-string", "float-from-string", "algorithm-float-from-string"])
     def test_run_rejects_malformed_config(self, tmp_path, block, message):
         config_path = tmp_path / "exp.json"
         config_path.write_text(json.dumps({"budget": 3, "repeats": 1, **block}))
@@ -397,6 +406,11 @@ class TestMainEntry:
     def test_json_booleans_accepted(self):
         config = config_from_dict({"standardize": False})
         assert config.standardize is False
+
+    def test_json_integers_accepted_for_float_fields(self):
+        config = config_from_dict({"noise_variance": 0, "algorithms": [{"acquisition": "ucb", "tau0": 1}]})
+        assert config.noise_variance == 0.0 and isinstance(config.noise_variance, float)
+        assert config.algorithms[0].tau0 == 1.0 and isinstance(config.algorithms[0].tau0, float)
 
     def test_run_summarizes_once(self, tmp_path, monkeypatch, capsys):
         calls = []

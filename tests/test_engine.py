@@ -148,6 +148,27 @@ class TestRunBopp:
         assert isinstance(streams[0], np.random.Generator)
         assert all(rng is streams[0] for rng in streams)
 
+    @pytest.mark.parametrize("initial_points, budget", [(5, 10), (17, 9)])
+    def test_warm_only_fits_past_ten_d_points_off_every_fifth_size(
+        self, monkeypatch, initial_points, budget
+    ):
+        """Griewank has d = 2, so 5 initial points and a budget of 10 never
+        reach 20 points and make only full fits."""
+        seen = []
+        original_fit = gp.fit
+
+        def recording_fit(data, init, config, rng=None):
+            seen.append((len(data), config.n_starts))
+            return original_fit(data, init, config, rng)
+
+        monkeypatch.setattr(gp, "fit", recording_fit)
+        cfg = fast_config(budget=budget, initial_points=initial_points)
+        run_bo(make_synthetic("griewank"), cfg)
+        sizes = initial_points + np.arange(budget)
+        full = cfg.fit.n_starts
+        assert full > 1
+        assert seen == [(n, full if n < 20 or n % 5 == 0 else 1) for n in sizes]
+
     def test_first_fit_unaffected_by_pseudo_values(self, monkeypatch):
         """Given the same true data, perturbed pseudo values leave the fit alone."""
         obj = make_synthetic("griewank")

@@ -425,8 +425,29 @@ class TestFit:
         for seed in range(5):
             data = random_dataset(np.random.default_rng(seed), 12, 2)
             init = random_params(rng, 2, noise=1e-3)
-            fitted = gp.fit(data, init, FitConfig(n_starts=4, max_iter=15))
-            assert nll(data, fitted) <= nll(data, init) + 1e-9
+            for n_starts in (4, 1):
+                fitted = gp.fit(data, init, FitConfig(n_starts=n_starts, max_iter=15))
+                assert nll(data, fitted) <= nll(data, init) + 1e-9
+
+    def test_one_start_is_the_warm_search_alone(self, monkeypatch):
+        """The run loop's warm-only refit: one search, from ``init``, no draws."""
+        data = random_dataset(np.random.default_rng(4), 12, 2)
+        init = KernelParams(lengthscales=np.array([0.5, 0.5]))
+        config = FitConfig(n_starts=1, max_iter=10)
+        starts = []
+        original = gp.minimize
+
+        def recording(fun, x0, *args, **kwargs):
+            starts.append(np.array(x0))
+            return original(fun, x0, *args, **kwargs)
+
+        monkeypatch.setattr(gp, "minimize", recording)
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        gp.fit(data, init, config, rng)
+        assert len(starts) == 1
+        np.testing.assert_array_equal(starts[0], gp._pack(init, config))
+        assert rng.bit_generator.state == state
 
     def test_noise_held_fixed_by_default(self):
         rng = np.random.default_rng(21)
