@@ -1,17 +1,27 @@
 """Deterministic global maximization by dividing rectangles.
 
-Implements the classic trisection scheme: the domain is normalized to the
-unit cube, hyper-rectangles are scored by their center value and half
-diagonal, and every iteration splits the potentially-optimal rectangles
-found on the lower convex hull of the (size, value) cloud.  The procedure
-is fully deterministic; ties are broken by rectangle creation order.
+Implements the classic trisection scheme (Jones, Perttunen & Stuckman 1993):
+the domain is normalized to the unit cube, hyper-rectangles are scored by
+their center value and half diagonal, and every iteration splits the
+potentially-optimal rectangles found on the lower convex hull of the
+(size, value) cloud.  The procedure is fully deterministic; ties are broken
+by rectangle creation order.
 
-Sample positions depend only on rectangle geometry, so all trisection
-samples of one iteration are scored in a single batched call.
+A rectangle is always trisected along all of its longest sides, so its
+per-dimension cut counts ("levels") never differ by more than one.  Its
+sorted levels, and with them its half diagonal, are therefore fixed by its
+total cut count alone, and the half diagonal strictly falls as that count
+grows.  The search keeps one heap of (value, index) per cut count, so an
+iteration reads the best rectangle of every size off the heap tops instead
+of re-sorting all rectangles.  Sample positions depend only on rectangle
+geometry, so all trisection samples of one iteration are scored in a single
+batched call.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -41,23 +51,33 @@ class DirectConfig:
     max_evaluations: int = 400
 
     def __post_init__(self):
-        if self.max_evaluations < 1:
+        budget = self.max_evaluations
+        if isinstance(budget, bool) or not isinstance(budget, (int, np.integer)):
+            raise ValueError(f"max_evaluations must be an integer, got {budget!r}")
+        if budget < 1:
             raise ValueError("max_evaluations must be at least 1")
 
 
 def _measure(levels: np.ndarray) -> float:
-    """Half-diagonal of a rectangle, canonicalized so that permuted level
-    vectors produce bit-identical measures (they group rectangles for the
-    potentially-optimal test)."""
+    """Half-diagonal of a rectangle; permuted level vectors give the same bits."""
     half_sides = 0.5 * np.power(3.0, -np.sort(levels).astype(float))
     return float(np.linalg.norm(half_sides))
+
+
+@functools.cache
+def _measure_of_cuts(dimension: int, cuts: int) -> float:
+    """Half-diagonal of a rectangle of ``cuts`` cuts whose levels differ by at most one."""
+    low, high = divmod(cuts, dimension)
+    return _measure(np.array([low] * (dimension - high) + [low + 1] * high))
 
 
 class _Search:
     """Mutable state of one maximization run (internally minimizes -f).
 
-    Rectangles live in preallocated parallel arrays; a rectangle's row index
-    doubles as the deterministic tie-breaker.
+    Rectangles live in parallel lists; a rectangle's list index doubles as
+    the deterministic tie-breaker.  ``heaps[s]`` holds (value, index) of the
+    rectangles with ``s`` cuts in total.  Splitting moves a rectangle to a
+    higher count; its old entry is dropped once it reaches its heap's top.
     """
 
     def __init__(self, objective, domain: BoxDomain, limit: int):
@@ -67,26 +87,11 @@ class _Search:
         self.evaluations = 0
         self.best_value = math.inf  # minimization of the negated objective
         self.best_point = domain.center.copy()
-        capacity = limit + 1
-        d = domain.dimension
-        self.count = 0
-        self.centers = np.empty((capacity, d))
-        self.levels = np.empty((capacity, d), dtype=int)
-        self.values = np.empty(capacity)
-        self.measures = np.empty(capacity)
-        self._measure_cache: dict[bytes, float] = {}
-
-    def measures_of(self, levels: np.ndarray) -> np.ndarray:
-        """Measures of the rows of ``levels``, computed once per sorted-level
-        tuple so that equal tuples share one bit-identical value."""
-        out = np.empty(levels.shape[0])
-        for i, key in enumerate(np.sort(levels, axis=1)):
-            raw = key.tobytes()
-            measure = self._measure_cache.get(raw)
-            if measure is None:
-                measure = self._measure_cache[raw] = _measure(key)
-            out[i] = measure
-        return out
+        center = [0.5] * domain.dimension
+        value = self.evaluate(np.array([center])).tolist()[0]
+        self.centers, self.levels = [center], [[0] * domain.dimension]
+        self.values, self.cuts = [value], [0]
+        self.heaps = [[(value, 0)]]
 
     def evaluate(self, units: np.ndarray) -> np.ndarray:
         """Negated objective values at rows of ``units``, in row order.
@@ -113,76 +118,76 @@ class _Search:
             self.best_point = points[k].copy()
         return values
 
-    def add_rectangles(self, centers: np.ndarray, levels: np.ndarray, values: np.ndarray,
-                       measures: np.ndarray) -> None:
-        lo, hi = self.count, self.count + centers.shape[0]
-        self.centers[lo:hi] = centers
-        self.levels[lo:hi] = levels
-        self.values[lo:hi] = values
-        self.measures[lo:hi] = measures
-        self.count = hi
-
-    def potentially_optimal(self) -> np.ndarray:
+    def potentially_optimal(self) -> list[int]:
         """Indices of rectangles on the lower-right convex hull of (size, value),
         in ascending size."""
-        n = self.count
-        values, measures = self.values[:n], self.measures[:n]
-        order = np.lexsort((np.arange(n), values, measures))
-        first = np.ones(n, dtype=bool)
-        first[1:] = measures[order[1:]] != measures[order[:-1]]
-        candidates = order[first]  # the best rectangle of each size, ascending size
-        m = measures[candidates]
-        v = values[candidates]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slopes = (v[:, None] - v[None, :]) / (m[:, None] - m[None, :])
-        below = np.tri(len(candidates), k=-1, dtype=bool)
-        left = np.where(below, slopes, -np.inf).max(axis=1)
-        right = np.where(below.T, slopes, np.inf).min(axis=1)
-        f_min = values.min()
-        if f_min != 0.0:
-            ok = _EPSILON <= (f_min - v) / abs(f_min) + m * right / abs(f_min)
-        else:
-            ok = v - m * right <= 0.0
-        return candidates[(left <= right) & (ok | np.isinf(right))]
+        points, candidates = [], []  # (measure, value) of each size's best rectangle
+        for cuts, heap in reversed(list(enumerate(self.heaps))):
+            while heap and self.cuts[heap[0][1]] != cuts:
+                heapq.heappop(heap)
+            if heap:
+                points.append((_measure_of_cuts(self.domain.dimension, cuts), heap[0][0]))
+                candidates.append(heap[0][1])
+        # f_min is over rectangles; every rectangle sits in the heap of its count.
+        f_min = min(value for _, value in points)
+        # left is at least the slope to the left neighbour and right at most the
+        # one to the right neighbour, so where the first is larger, left > right.
+        edge = [(vi - vj) / (mi - mj) for (mi, vi), (mj, vj) in zip(points, points[1:])]
+        edge = [-math.inf, *edge, math.inf]
+        selected = []
+        for i, (mi, vi) in enumerate(points):
+            if edge[i] > edge[i + 1]:
+                continue
+            right = min([(vi - vj) / (mi - mj) for mj, vj in points[i + 1 :]] or [math.inf])
+            if f_min != 0.0:
+                ok = _EPSILON <= (f_min - vi) / abs(f_min) + mi * right / abs(f_min)
+            else:
+                ok = vi - mi * right <= 0.0
+            if not (ok or math.isinf(right)):
+                continue
+            left = max([(vi - vj) / (mi - mj) for mj, vj in points[:i]] or [-math.inf])
+            if left <= right:
+                selected.append(candidates[i])
+        return selected
 
-    def trisections(self, selected: np.ndarray):
-        """Sample points of splitting each selected rectangle along all of its
-        longest sides: per rectangle, per dimension, the plus then the minus
-        sample.  Returns the (2k, d) unit samples and, per sample pair, its
-        rectangle's position in ``selected`` and its dimension."""
-        levels = self.levels[selected]
-        min_levels = levels.min(axis=1)
-        owner, dims = np.nonzero(levels == min_levels[:, None])
-        deltas = np.array([3.0 ** (-(float(lv) + 1.0)) for lv in min_levels])
-        step = np.zeros((owner.shape[0], levels.shape[1]))
-        step[np.arange(owner.shape[0]), dims] = deltas[owner]
-        base = self.centers[selected][owner]
-        samples = np.empty((2 * owner.shape[0], levels.shape[1]))
-        samples[0::2] = base + step
-        samples[1::2] = base - step
-        return samples, owner, dims
+    def trisections(self, selected: list[int]):
+        """Unit samples that split each selected rectangle along all of its longest
+        sides: per rectangle, per dimension, the plus then the minus sample; and
+        per rectangle, its index and the dimensions it is cut along."""
+        samples, splits = [], []
+        for index in selected:
+            center, levels = self.centers[index], self.levels[index]
+            low = min(levels)
+            delta = 3.0 ** (-(float(low) + 1.0))
+            dims = [k for k, level in enumerate(levels) if level == low]
+            for k in dims:
+                plus, minus = center.copy(), center.copy()
+                plus[k] += delta
+                minus[k] -= delta
+                samples += (plus, minus)
+            splits.append((index, dims))
+        return samples, splits
 
-    def split(self, rects: np.ndarray, owner: np.ndarray, dims: np.ndarray,
-              samples: np.ndarray, values: np.ndarray) -> None:
-        """Record the trisections of ``rects`` from their scored samples; sample
-        pair k cuts ``rects[owner[k]]`` along ``dims[k]``."""
-        v_plus, v_minus = values[0::2], values[1::2]
-        # Per rectangle, best child first, so it keeps the largest remaining rectangle.
-        order = np.lexsort((dims, np.minimum(v_plus, v_minus), owner))
-        owner = owner[order]
-        steps = np.zeros((order.shape[0], self.levels.shape[1]), dtype=int)
-        steps[np.arange(order.shape[0]), dims[order]] = 1
-        # Running count of cuts per dimension, restarted at each rectangle.
-        cuts = np.cumsum(steps, axis=0)
-        first = np.searchsorted(owner, owner)
-        child_levels = self.levels[rects][owner] + cuts - (cuts[first] - steps[first])
-        child_measures = self.measures_of(child_levels)
-        pairs = np.stack([2 * order, 2 * order + 1], axis=1).reshape(-1)
-        self.add_rectangles(samples[pairs], np.repeat(child_levels, 2, axis=0),
-                            values[pairs], np.repeat(child_measures, 2))
-        last = np.flatnonzero(np.append(owner[1:] != owner[:-1], True))
-        self.levels[rects] = child_levels[last]
-        self.measures[rects] = child_measures[last]
+    def split(self, index: int, dims: list[int], samples: list, values: list[float]) -> None:
+        """Record the trisection of rectangle ``index``; sample pair k cuts it along ``dims[k]``."""
+        # Best child first, so it keeps the largest remaining rectangle.
+        order = sorted(range(len(dims)),
+                       key=lambda k: (min(values[2 * k], values[2 * k + 1]), dims[k]))
+        levels, cuts = self.levels[index], self.cuts[index]
+        for k in order:
+            levels = levels.copy()
+            levels[dims[k]] += 1
+            cuts += 1
+            if cuts == len(self.heaps):
+                self.heaps.append([])
+            for j in (2 * k, 2 * k + 1):
+                heapq.heappush(self.heaps[cuts], (values[j], len(self.values)))
+                self.centers.append(samples[j])
+                self.levels.append(levels)
+                self.values.append(values[j])
+                self.cuts.append(cuts)
+        self.levels[index], self.cuts[index] = levels, cuts
+        heapq.heappush(self.heaps[cuts], (self.values[index], index))
 
 
 def maximize(
@@ -202,20 +207,15 @@ def maximize(
     """
     batch = objective if vectorized else (lambda xs: [float(objective(x)) for x in xs])
     search = _Search(batch, domain, config.max_evaluations)
-    d = domain.dimension
-    center = np.full((1, d), 0.5)
-    unsplit = np.zeros((1, d), dtype=int)
-    search.add_rectangles(center, unsplit, search.evaluate(center), search.measures_of(unsplit))
     while search.evaluations < search.limit:
-        selected = search.potentially_optimal()
-        samples, owner, dims = search.trisections(selected)
-        scored = min(samples.shape[0], search.limit - search.evaluations)
-        values = search.evaluate(samples[:scored])
-        # Only splits whose samples were all scored create rectangles.
-        ends = 2 * np.cumsum(np.bincount(owner))
-        complete = np.searchsorted(ends, scored, side="right")
-        if complete:
-            pairs = ends[complete - 1] // 2
-            search.split(selected[:complete], owner[:pairs], dims[:pairs],
-                         samples[: 2 * pairs], values[: 2 * pairs])
+        samples, splits = search.trisections(search.potentially_optimal())
+        scored = min(len(samples), search.limit - search.evaluations)
+        values = search.evaluate(np.array(samples[:scored])).tolist()
+        start = 0
+        for index, dims in splits:
+            end = start + 2 * len(dims)
+            if end > scored:  # only splits whose samples were all scored create rectangles
+                break
+            search.split(index, dims, samples[start:end], values[start:end])
+            start = end
     return search.best_point, -search.best_value

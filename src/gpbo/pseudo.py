@@ -187,25 +187,30 @@ def correction_terms(
     A the base training matrix; ``M`` is the inverse of
     S = K' + noise*I - Ktilde^T A^-1 Ktilde (the augmented-block capacitance);
     ``S_factor`` is the lower Cholesky factor of S from ``gp.augment``'s own
-    block update, with diagonal jitter from the ladder when S needs it.  All
-    products go through triangular solves on the stored factors.
+    block update.  All products go through triangular solves on the stored
+    factors.
 
-    When S needs that jitter the closed forms stop describing the augmented
-    model: ``gp.augment`` then refactors the joint matrix with the jitter on
-    every row, while here only S carries it.  With one observed point at 0.3,
-    ``KernelParams([0.5], 1.0, 1e-17)`` and a pseudo-point on that point,
-    pseudo values 0.1 and 1.1 move the augmented mean at 0.3 by 0.5, but
-    ``mean_shift`` gives 0.0.
+    When S needs jitter from the ladder, ``gp.augment`` factorizes the joint
+    matrix afresh, with that factorization's jitter on every row.  The terms
+    then come from the blocks of that joint factor, so A and S above carry
+    the joint jitter, and ``mean_shift`` and ``variance_reduction`` still
+    describe the augmented model: the variance reduction is measured from the
+    base posterior at that jitter.
     """
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     params = model.params
-    half_base, s_lower, _ = gp._schur_block(model, pp.points)
+    half_base, s_lower, jitter = gp._schur_block(model, pp.points)
+    base_factor = model.factor
+    if jitter > 0.0 and half_base is not None:
+        joint = augmented_model(model, pp).factor
+        n = len(model)
+        base_factor, half_base, s_lower = joint[:n, :n], joint[n:, :n].T, joint[n:, n:]
     cross_new = kernel_matrix(pp.points, queries, params)  # (l, m)
     if half_base is None:
         p_mat = -cross_new
     else:
         cross_queries = kernel_matrix(model.data.points, queries, params)  # (t, m)
-        half_queries = solve_triangular(model.factor, cross_queries, lower=True)
+        half_queries = solve_triangular(base_factor, cross_queries, lower=True)
         p_mat = half_base.T @ half_queries - cross_new
     m_mat = cho_solve((s_lower, True), np.eye(len(pp)))
     return p_mat, m_mat, s_lower

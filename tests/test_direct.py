@@ -119,6 +119,57 @@ class TestContracts:
         with pytest.raises(ValueError):
             DirectConfig(max_evaluations=0)
 
+    @pytest.mark.parametrize("budget", [2.5, 7.0, "7", True, False, None])
+    def test_config_rejects_non_integer_budget(self, budget):
+        with pytest.raises(ValueError, match="max_evaluations"):
+            DirectConfig(max_evaluations=budget)
+
+    def test_config_accepts_numpy_integer(self):
+        cfg = DirectConfig(max_evaluations=np.int64(20))
+        _, val = direct.maximize(lambda x: -float(x[0] ** 2), unit_interval(), cfg)
+        assert val <= 0.0
+
+
+class TestCutCountGrouping:
+    """The search groups rectangles by total cut count; these pin why that
+    grouping equals grouping them by their float measure."""
+
+    def test_levels_stay_within_one(self, monkeypatch):
+        searches = []
+
+        class Recording(direct._Search):
+            def __init__(self, *args):
+                super().__init__(*args)
+                searches.append(self)
+
+        monkeypatch.setattr(direct, "_Search", Recording)
+        for d in range(1, 7):
+            f = smooth_surface(np.linspace(0.5, 1.5, 3), np.linspace(-3, 3, 3 * d).reshape(3, d),
+                               False)
+            domain = BoxDomain(np.zeros(d), np.ones(d))
+            direct.maximize(f, domain, DirectConfig(max_evaluations=1200))
+            search = searches[-1]
+            assert len(search.values) > 1000
+            for levels, cuts in zip(search.levels, search.cuts):
+                assert max(levels) - min(levels) <= 1
+                assert sum(levels) == cuts
+
+    def test_measure_strictly_falls_with_cut_count(self):
+        # Reachable counts at 1200 evaluations.  The rectangles tile the unit
+        # cube and one of s cuts has volume 3**-s, so some rectangle always has
+        # at most 6 cuts (3**7 > 1200), and every iteration splits a largest
+        # rectangle.  A rectangle's ancestry therefore takes at most 7 splits at
+        # 6 cuts or fewer; each later split shares its iteration with the split
+        # of a largest rectangle, so that iteration scores 4 samples or more,
+        # unless it is a last iteration cut short.  A split raises the largest
+        # level by at most one, so levels stay at most 7 + 1 + 1199 // 4 = 307.
+        for d in range(1, 7):
+            measures = [direct._measure_of_cuts(d, s) for s in range(307 * d + 1)]
+            assert all(b < a for a, b in zip(measures, measures[1:]))
+            low, high = divmod(307 * d, d)
+            canonical = np.array([low] * (d - high) + [low + 1] * high)
+            assert measures[-1] == direct._measure(canonical[::-1])
+
 
 # --- reference: the one-point-per-call search the batched loop replaced ------
 
@@ -224,7 +275,7 @@ def smooth_surface(coeffs, freqs, plateau):
 
 @st.composite
 def search_problems(draw):
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 6))
     floats = st.floats(-2.0, 2.0, allow_nan=False)
     coeffs = np.array(draw(st.lists(floats, min_size=3, max_size=3)))
     freqs = np.array(draw(st.lists(floats, min_size=3 * d, max_size=3 * d))).reshape(3, d) * 3
@@ -241,6 +292,18 @@ class TestBatchedAgainstScalarReference:
     @given(search_problems())
     # Budget 6 in 1-d cuts the third iteration's batch after one of its two samples.
     @example((smooth_surface(np.ones(3), np.ones((3, 1)), False), unit_interval(), 6))
+    # The size of a hart6 acquisition search.
+    @example((smooth_surface(np.array([1.0, -0.7, 0.4]), np.linspace(-4, 4, 18).reshape(3, 6),
+                             False), BoxDomain(np.zeros(6), np.ones(6)), 1200))
+    # Every value rounds to +0.0 or -0.0, so signed-zero ties reach the heaps
+    # and the child order, and f_min is zero.
+    @example((smooth_surface(np.array([0.01, -0.02, 0.01]),
+                             np.array([[3.0, -2.0], [1.0, 4.0], [-5.0, 2.0]]), True),
+              BoxDomain(np.zeros(2), np.ones(2)), 200))
+    # Budget 56 in 3-d splits two rectangles in the last iteration and cuts the
+    # third one's batch after 3 of its 6 samples.
+    @example((smooth_surface(np.ones(3), np.ones((3, 3)), False),
+              BoxDomain(np.zeros(3), np.ones(3)), 56))
     def test_same_argmax_value_and_samples(self, problem):
         f, domain, budget = problem
         seen_ref, seen_new = [], []

@@ -295,6 +295,30 @@ class TestVarianceReduction:
             assert closed >= 0.0
             assert closed == pytest.approx(base_var - aug_var, abs=1e-9)
 
+    def test_closed_forms_follow_the_joint_jitter(self):
+        # The singular Schur block sends gp.augment to a fresh joint
+        # factorization with jitter on every row; the closed forms must
+        # describe that model, measuring the variance drop from the base
+        # posterior at the same jitter.
+        params = KernelParams(lengthscales=np.array([0.5]), amplitude=1.0, noise_variance=1e-17)
+        model = gp.build_model(Dataset(np.array([[0.3]]), [0.1]), params)
+        pp = PseudoPointSet(np.array([[0.3]]), np.array([0.1]), np.array([0]), 0.0)
+        borrowed = pseudo.augmented_model(model, pp)
+        true = pseudo.augmented_model(model, replace(pp, values=np.array([1.1])))
+        assert model.jitter == 0.0 and borrowed.jitter > 0.0
+        jittered = replace(params, noise_variance=params.noise_variance + borrowed.jitter)
+        base = gp.build_model(model.data, jittered)
+        queries = np.array([[0.3], [0.0], [-0.7]])
+        mean_borrowed, var_augmented = gp.predict(borrowed, queries)
+        mean_true, _ = gp.predict(true, queries)
+        _, var_base = gp.predict(base, queries)
+        shift = pseudo.mean_shift(model, pp, [1.1], queries)
+        np.testing.assert_allclose(shift, mean_borrowed - mean_true, rtol=1e-5)
+        assert shift[0] == pytest.approx(0.1 - 0.6, abs=1e-5)
+        reduction = pseudo.variance_reduction(model, pp, queries)
+        np.testing.assert_allclose(reduction, var_base - var_augmented, rtol=1e-3)
+        assert np.all(reduction > 0.0)
+
     def test_reduction_plus_augmented_equals_base(self):
         rng = np.random.default_rng(18)
         model, data = make_model(rng, n=7)
