@@ -16,7 +16,9 @@ configuration that produced it.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -93,11 +95,17 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
+        # The per-run rules live on RunConfig; check them once here, before any run.
+        RunConfig(budget=self.budget, initial_points=self.initial_points, delta=self.delta,
+                  noise_variance=self.noise_variance)
         if self.objective == "external":
             if not self.external_command or self.external_lower is None or self.external_upper is None:
                 raise ValueError("external objective requires a command and bounds")
+            BoxDomain(np.array(self.external_lower), np.array(self.external_upper))
         elif self.objective not in SYNTHETIC_NAMES:
             raise ValueError(
                 f"unknown objective {self.objective!r}; valid names: "
@@ -219,7 +227,7 @@ def _run_config(config: ExperimentConfig, algo: AlgorithmSpec, obj: Objective, r
         acquisition_kind=algo.acquisition,
         delta=config.delta,
         noise_variance=config.noise_variance,
-        pseudo=PseudoSchedule(tau0=algo.tau0, domain_width=width),
+        pseudo=PseudoSchedule(tau0=algo.tau0),
         seed=_repeat_seed(config.seed, repeat),
         standardize=config.standardize,
         fit=fit,
@@ -231,11 +239,6 @@ def _one_run(config: ExperimentConfig, algo: AlgorithmSpec, repeat: int) -> Regr
     run_config = _run_config(config, algo, obj, repeat)
     runner = run_bopp if run_config.pseudo.enabled else run_bo
     return runner(obj, run_config)
-
-
-def _one_run_task(args: tuple) -> tuple[str, int, RegretTrace]:
-    config, algo, repeat = args
-    return algo.name, repeat, _one_run(config, algo, repeat)
 
 
 def _fmt(value: float) -> str:
@@ -302,31 +305,25 @@ def _experiment(config: ExperimentConfig) -> tuple[int, list[SummaryRow]]:
     out.mkdir(parents=True, exist_ok=True)
     (out / "config.json").write_text(json.dumps(config.to_dict(), indent=2) + "\n")
 
-    tasks = [
-        (config, algo, repeat)
-        for repeat in range(config.repeats)
-        for algo in config.algorithms
-    ]
+    # Repeat-major, algorithms in order: the serial run order.
+    tasks = [(algo, repeat) for repeat in range(config.repeats) for algo in config.algorithms]
     results: dict[tuple[str, int], RegretTrace] = {}
     failures: list[dict] = []
+    pool = contextlib.nullcontext()
     if config.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            futures = {pool.submit(_one_run_task, task): task for task in tasks}
-            for future, task in futures.items():
-                _, algo, repeat = task
-                try:
-                    name, rep, trace = future.result()
-                    results[(name, rep)] = trace
-                except Exception as exc:  # noqa: BLE001 - recorded, run continues
-                    failures.append({"algorithm": algo.name, "repeat": repeat, "error": str(exc)})
-    else:
-        for task in tasks:
-            _, algo, repeat = task
+        pool = ProcessPoolExecutor(max_workers=config.jobs)
+    with pool:
+        # Each call returns its run's trace or raises the run's error.
+        calls = [
+            pool.submit(_one_run, config, algo, repeat).result if config.jobs > 1
+            else functools.partial(_one_run, config, algo, repeat)
+            for algo, repeat in tasks
+        ]
+        for (algo, repeat), call in zip(tasks, calls):
             try:
-                name, rep, trace = _one_run_task(task)
-                results[(name, rep)] = trace
+                results[(algo.name, repeat)] = call()
             except Exception as exc:  # noqa: BLE001 - recorded, run continues
                 failures.append({"algorithm": algo.name, "repeat": repeat, "error": str(exc)})
 

@@ -77,6 +77,10 @@ class RunConfig:
             raise ValueError("budget must be at least 1")
         if self.initial_points < 0:
             raise ValueError("initial_points must be non-negative")
+        if not (0.0 < self.delta < 1.0):
+            raise ValueError("delta must lie strictly inside (0, 1)")
+        if not (math.isfinite(self.noise_variance) and self.noise_variance >= 0):
+            raise ValueError("noise variance must be non-negative and finite")
         if self.acquisition_kind not in ("pi", "ei", "ucb"):
             raise ValueError(f"unknown acquisition kind {self.acquisition_kind!r}")
         if self.standardize and self.unit_amplitude:
@@ -122,7 +126,11 @@ class RegretTrace:
         return float(self.simple_regret[-1])
 
     def payload(self) -> dict[str, np.ndarray]:
-        """The deterministic arrays: every array field except wall-clock timing."""
+        """The deterministic arrays: every array field except wall-clock timing.
+
+        ``beta`` is NaN throughout for pi and ei runs, so compare payloads
+        with ``np.array_equal(..., equal_nan=True)``.
+        """
         arrays = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_ms"}
         return {name: value for name, value in arrays.items() if isinstance(value, np.ndarray)}
 
@@ -156,7 +164,6 @@ def _run(objective: Objective, config: RunConfig, schedule: PseudoSchedule) -> R
     warm_config = replace(fit_config, n_starts=1)
     direct_config = _direct_config(config, d)
 
-    gp_noise = max(config.noise_variance, 1e-12)
     init_points = objective.domain.sample(init_rng, config.initial_points)
     init_obs = np.array([observe(objective, noise, x) for x in init_points])
     data = Dataset(init_points, init_obs) if config.initial_points else empty_dataset(d)
@@ -168,7 +175,7 @@ def _run(objective: Objective, config: RunConfig, schedule: PseudoSchedule) -> R
         objective_name=objective.name,
         dimension=d,
         unit_amplitude=config.unit_amplitude,
-        noise_variance=gp_noise,
+        noise_variance=params.noise_variance,
         init_points=init_points,
         init_observations=init_obs,
         points=np.empty((t_total, d)),

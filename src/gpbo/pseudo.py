@@ -63,43 +63,22 @@ def empty_pseudo_set(dimension: int) -> PseudoPointSet:
 
 @dataclass(frozen=True)
 class PseudoSchedule:
-    """How many pseudo-points to generate and at what distance.
+    """At what distance to generate pseudo-points.
 
-    The displacement used in a round with l pseudo-points is
-    ``domain_width * tau0 / (d * l)``.  ``tau0 = 0`` disables generation.
-    In ``per_observation`` mode one pseudo-point is generated per observed
-    point; ``fixed`` mode generates ``count`` points with parents drawn
-    uniformly.
+    One pseudo-point is generated per observed point.  With n observed
+    points in a box whose widest side is ``width``, the displacement is
+    ``width * tau0 / (d * n)``.  ``tau0 = 0`` disables generation.
     """
 
     tau0: float
-    domain_width: float = 2.0
-    mode: str = "per_observation"
-    count: int = 0
 
     def __post_init__(self):
         if self.tau0 < 0 or not np.isfinite(self.tau0):
             raise ValueError("tau0 must be non-negative and finite")
-        if self.domain_width <= 0:
-            raise ValueError("domain_width must be positive")
-        if self.mode not in ("per_observation", "fixed"):
-            raise ValueError(f"unknown pseudo schedule mode {self.mode!r}")
-        if self.mode == "fixed" and self.count < 0:
-            raise ValueError("count must be non-negative")
 
     @property
     def enabled(self) -> bool:
         return self.tau0 > 0.0
-
-    def points_for(self, n_observed: int) -> int:
-        if not self.enabled:
-            return 0
-        return n_observed if self.mode == "per_observation" else self.count
-
-    def tau_for(self, dimension: int, n_points: int) -> float:
-        if n_points == 0:
-            return 0.0
-        return self.domain_width * self.tau0 / (dimension * n_points)
 
 
 def disabled_schedule() -> PseudoSchedule:
@@ -126,7 +105,7 @@ def generate(
     domain: BoxDomain,
     rng: np.random.Generator,
 ) -> PseudoPointSet:
-    """Draw one round of pseudo-points from the observed data.
+    """Draw one round of pseudo-points, one per observed point.
 
     Each pseudo-point displaces its parent by +-tau independently per
     coordinate (signs equally likely).  When a displaced coordinate leaves
@@ -140,18 +119,24 @@ def generate(
     d = domain.dimension
     if not schedule.enabled:
         return empty_pseudo_set(d)
-    if len(data) == 0:
-        raise ValueError("cannot generate pseudo-points from an empty dataset")
-    count = schedule.points_for(len(data))
-    if count == 0:
-        return empty_pseudo_set(d)
-    tau = schedule.tau_for(d, count)
-    if schedule.mode == "per_observation":
-        parents = np.arange(count)
-    else:
-        parents = rng.integers(0, len(data), size=count)
-    # Observed points, then the pseudo-points accepted so far.
     n = len(data)
+    if n == 0:
+        raise ValueError("cannot generate pseudo-points from an empty dataset")
+    tau = float(np.max(domain.widths)) * schedule.tau0 / (d * n)
+    return _place(data, np.arange(n), tau, domain, rng)
+
+
+def _place(
+    data: Dataset,
+    parents: np.ndarray,
+    tau: float,
+    domain: BoxDomain,
+    rng: np.random.Generator,
+) -> PseudoPointSet:
+    """One pseudo-point at displacement ``tau`` from each ``data`` row named in
+    ``parents``, by the sign, boundary and collision rules of ``generate``."""
+    n, count, d = len(data), len(parents), domain.dimension
+    # Observed points, then the pseudo-points accepted so far.
     taken = np.empty((n + count, d))
     taken[:n] = data.points
     for i, parent_idx in enumerate(parents):
@@ -173,8 +158,6 @@ def generate(
 
 def augmented_model(model: GpModel, pp: PseudoPointSet) -> GpModel:
     """The base model extended with the pseudo rows (hyper-parameters untouched)."""
-    if len(pp) == 0:
-        return model
     return gp.augment(model, Dataset(pp.points, pp.values))
 
 

@@ -173,14 +173,6 @@ class CheckReport:
         return asdict(self)
 
 
-def _schedule_for(instance: TheoryInstance) -> pseudo.PseudoSchedule:
-    """A schedule whose computed displacement equals the instance's tau."""
-    d, l = instance.dimension, instance.n_pseudo
-    width = 2.0
-    tau0 = instance.tau * d * l / width
-    return pseudo.PseudoSchedule(tau0=tau0, domain_width=width, mode="fixed", count=l)
-
-
 def build_instance(instance: TheoryInstance):
     """Model, pseudo set, and query points for one seeded instance."""
     rng = np.random.default_rng(np.random.SeedSequence([instance.seed, 0x7E07]))
@@ -197,17 +189,18 @@ def build_instance(instance: TheoryInstance):
     model = gp.build_model(data, params)
     if instance.n_pseudo == 0:
         pp = pseudo.empty_pseudo_set(d)
-    elif instance.tau == 0.0:
-        # Degenerate displacement: pseudo-points sit exactly on their parents.
-        parents = rng.integers(0, instance.n_base, size=instance.n_pseudo)
-        pp = pseudo.PseudoPointSet(
-            points=data.points[parents].copy(),
-            values=data.observations[parents].copy(),
-            parent_index=parents,
-            tau=0.0,
-        )
     else:
-        pp = pseudo.generate(data, _schedule_for(instance), domain, rng)
+        parents = rng.integers(0, instance.n_base, size=instance.n_pseudo)
+        if instance.tau == 0.0:
+            # Degenerate displacement: pseudo-points sit exactly on their parents.
+            pp = pseudo.PseudoPointSet(
+                points=data.points[parents].copy(),
+                values=data.observations[parents].copy(),
+                parent_index=parents,
+                tau=0.0,
+            )
+        else:
+            pp = pseudo._place(data, parents, instance.tau, domain, rng)
     queries = domain.sample(rng, _N_QUERIES)
     return model, pp, queries, rng
 
@@ -307,7 +300,6 @@ def check_mean_error_envelope(
         raise ValueError("the mean-error envelope needs tau > 0 and n_pseudo > 0")
     d = instance.dimension
     domain = unit_symmetric(d)
-    schedule = _schedule_for(instance)
     params = KernelParams(
         lengthscales=np.full(d, 0.6),
         amplitude=1.0,
@@ -327,7 +319,9 @@ def check_mean_error_envelope(
     for k in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([instance.seed, 0x5EED, k]))
         base = domain.sample(rng, instance.n_base)
-        pp = pseudo.generate(Dataset(base, np.zeros(instance.n_base)), schedule, domain, rng)
+        parents = rng.integers(0, instance.n_base, size=instance.n_pseudo)
+        pp = pseudo._place(Dataset(base, np.zeros(instance.n_base)), parents, instance.tau,
+                           domain, rng)
         queries = domain.sample(rng, 8)
         everything = np.vstack([base, pp.points, grid])
         cov = gp.kernel_matrix(everything, everything, params)

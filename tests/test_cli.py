@@ -384,11 +384,20 @@ class TestMainEntry:
         ({"noise_variance": "1e-3"}, "config key 'noise_variance' must be float, got '1e-3'"),
         ({"algorithms": [{"acquisition": "ucb", "tau0": "0.01"}]},
          r"algorithms\[0\] key 'tau0' must be float, got '0.01'"),
+        ({"budget": 0}, "budget must be at least 1"),
+        ({"delta": 1.5}, r"delta must lie strictly inside \(0, 1\)"),
+        ({"noise_variance": -1.0}, "noise variance must be non-negative and finite"),
+        ({"objective": "external",
+          "external": {"command": "echo 1", "lower": [1, 0], "upper": [0, 1]}},
+         "each lower bound must be strictly below its upper bound"),
+        ({"jobs": 0}, "jobs must be at least 1"),
     ], ids=["external-bounds", "acquisition-missing", "acquisition-unknown", "tau0-negative",
             "budget-type", "objective-unknown", "external-block-missing", "bool-from-string",
             "bool-from-int", "int-from-bool", "float-from-bool", "algorithm-float-from-bool",
             "int-from-fraction", "repeats-from-fraction", "int-from-integral-float",
-            "int-from-string", "float-from-string", "algorithm-float-from-string"])
+            "int-from-string", "float-from-string", "algorithm-float-from-string",
+            "budget-zero", "delta-outside", "noise-negative", "external-lower-above-upper",
+            "jobs-zero"])
     def test_run_rejects_malformed_config(self, tmp_path, block, message):
         config_path = tmp_path / "exp.json"
         config_path.write_text(json.dumps({"budget": 3, "repeats": 1, **block}))

@@ -30,14 +30,15 @@ def fast_config(**overrides):
 
 def traces_equal(a: RegretTrace, b: RegretTrace) -> bool:
     pa, pb = a.payload(), b.payload()
-    return all(np.array_equal(pa[k], pb[k]) for k in pa)
+    return all(np.array_equal(pa[k], pb[k], equal_nan=True) for k in pa)
 
 
 class TestRunBo:
-    def test_deterministic_given_seed(self):
+    @pytest.mark.parametrize("kind", ["pi", "ei", "ucb"])
+    def test_deterministic_given_seed(self, kind):
         obj = make_synthetic("griewank")
-        t1 = run_bo(obj, fast_config())
-        t2 = run_bo(obj, fast_config())
+        t1 = run_bo(obj, fast_config(acquisition_kind=kind))
+        t2 = run_bo(obj, fast_config(acquisition_kind=kind))
         assert traces_equal(t1, t2)
 
     def test_different_seeds_differ(self):
@@ -93,10 +94,12 @@ class TestRunBo:
 
 
 class TestRunBopp:
-    def test_disabled_schedule_matches_run_bo_exactly(self):
+    @pytest.mark.parametrize("kind", ["pi", "ei", "ucb"])
+    def test_disabled_schedule_matches_run_bo_exactly(self, kind):
         obj = make_synthetic("griewank")
-        t_bo = run_bo(obj, fast_config(budget=8))
-        t_pp = run_bopp(obj, fast_config(budget=8, pseudo=PseudoSchedule(tau0=0.0)))
+        t_bo = run_bo(obj, fast_config(budget=8, acquisition_kind=kind))
+        t_pp = run_bopp(obj, fast_config(budget=8, acquisition_kind=kind,
+                                         pseudo=PseudoSchedule(tau0=0.0)))
         assert traces_equal(t_bo, t_pp)
 
     def test_pseudo_count_tracks_data_size(self):

@@ -97,6 +97,7 @@ PINNED_FIELDS = {
     "DirectConfig": ["max_evaluations"],
     "GpModel": ["params", "data", "factor", "weight_vector", "jitter"],
     "PseudoPointSet": ["points", "values", "parent_index", "tau"],
+    "PseudoSchedule": ["tau0"],
 }
 
 

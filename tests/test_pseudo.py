@@ -32,15 +32,10 @@ def generated(rng, data, tau0=0.02, domain=None):
     return pseudo.generate(data, PseudoSchedule(tau0=tau0), domain, rng)
 
 
-def reference_generate(data, schedule, domain, rng):
+def reference_generate(data, parents, tau0, domain, rng):
     """The scalar collision scan: every candidate against a Python list of
     every point taken so far."""
-    count = schedule.points_for(len(data))
-    tau = schedule.tau_for(domain.dimension, count)
-    if schedule.mode == "per_observation":
-        parents = np.arange(count)
-    else:
-        parents = rng.integers(0, len(data), size=count)
+    tau = float(np.max(domain.widths)) * tau0 / (domain.dimension * len(parents))
     taken = [data.points[i] for i in range(len(data))]
     points = []
     for parent_idx in parents:
@@ -78,6 +73,10 @@ class TestGenerate:
         pp = generated(rng, data, tau0=0.01)
         assert len(pp) == 5
         assert pp.tau == pytest.approx(2 * 0.01 / (2 * 5), rel=1e-15)
+        # The width is the domain's widest side: 4 in [0,1] x [-2,2].
+        wide = BoxDomain(np.array([0.0, -2.0]), np.array([1.0, 2.0]))
+        pp = generated(rng, Dataset(rng.uniform(0, 1, (5, 2)), np.zeros(5)), 0.01, wide)
+        assert pp.tau == 4 * 0.01 / (2 * 5)
 
     def test_displacement_is_exact_corner(self):
         rng = np.random.default_rng(2)
@@ -110,7 +109,7 @@ class TestGenerate:
         rng = np.random.default_rng(6)
         # Parent on the right edge: +tau leaves the box, sign must flip.
         data = Dataset(np.array([[1.0]]), [0.0])
-        schedule = PseudoSchedule(tau0=0.05, domain_width=2.0)  # tau = 0.1
+        schedule = PseudoSchedule(tau0=0.05)  # tau = 2*0.05/(1*1) = 0.1
         for _ in range(10):
             pp = pseudo.generate(data, schedule, unit_symmetric(1), rng)
             assert pp.points[0, 0] == pytest.approx(0.9)
@@ -120,7 +119,7 @@ class TestGenerate:
         rng = np.random.default_rng(7)
         domain = BoxDomain(np.array([0.0]), np.array([0.05]))
         data = Dataset(np.array([[0.02]]), [0.0])
-        schedule = PseudoSchedule(tau0=0.05, domain_width=0.05)
+        schedule = PseudoSchedule(tau0=0.05)
         pp = pseudo.generate(data, schedule, domain, rng)
         # tau = 0.05*0.05/1 = 0.0025 and both signs fit: the coordinate is free,
         # so it sits exactly tau from its parent.
@@ -131,8 +130,8 @@ class TestGenerate:
         rng = np.random.default_rng(8)
         domain = BoxDomain(np.array([0.0]), np.array([0.01]))
         data = Dataset(np.array([[0.005]]), [1.0])
-        # tau bigger than the box: domain_width 0.01, tau0 = 10 -> tau = 0.1
-        schedule = PseudoSchedule(tau0=10.0, domain_width=0.01)
+        # tau bigger than the box: width 0.01, tau0 = 10 -> tau = 0.1
+        schedule = PseudoSchedule(tau0=10.0)
         pp = pseudo.generate(data, schedule, domain, rng)
         # Both signs leave the box: the coordinate is clipped onto its boundary.
         assert pp.points[0, 0] in (0.0, 0.01)
@@ -142,7 +141,7 @@ class TestGenerate:
         # One-point dataset in 1-d: both displacement signs collide with a
         # pre-placed twin, so redraws exhaust and the point is accepted.
         data = Dataset(np.array([[0.0], [0.1], [-0.1]]), [0.0, 1.0, 2.0])
-        schedule = PseudoSchedule(tau0=0.15, domain_width=2.0)  # tau = 0.1
+        schedule = PseudoSchedule(tau0=0.15)  # tau = 2*0.15/(1*3) = 0.1
         pp = pseudo.generate(data, schedule, unit_symmetric(1), rng)
         assert len(pp) == 3
 
@@ -154,12 +153,12 @@ class TestGenerate:
         corner, inner = np.ones(3), np.array([0.2, -0.4, 0.1])
         data = Dataset(np.array([corner, corner, corner, inner, inner, inner]),
                        np.arange(6.0))
-        schedule = PseudoSchedule(tau0=tau0, mode="fixed", count=12)
+        tau = 2.0 * tau0 / (3 * 12)
         domain = unit_symmetric(3)
         rng = np.random.default_rng(12)
-        pp = pseudo.generate(data, schedule, domain, rng)
+        pp = pseudo._place(data, rng.integers(0, 6, size=12), tau, domain, rng)
         ref_rng = np.random.default_rng(12)
-        ref = reference_generate(data, schedule, domain, ref_rng)
+        ref = reference_generate(data, ref_rng.integers(0, 6, size=12), tau0, domain, ref_rng)
         for name in ("points", "values", "parent_index"):
             np.testing.assert_array_equal(getattr(pp, name), getattr(ref, name))
         assert pp.tau == ref.tau
@@ -168,8 +167,8 @@ class TestGenerate:
     def test_fixed_mode_count(self):
         rng = np.random.default_rng(10)
         data = Dataset(rng.uniform(-1, 1, (5, 2)), rng.normal(size=5))
-        schedule = PseudoSchedule(tau0=0.01, mode="fixed", count=3)
-        pp = pseudo.generate(data, schedule, unit_symmetric(2), rng)
+        pp = pseudo._place(data, rng.integers(0, 5, size=3), 2.0 * 0.01 / (2 * 3),
+                           unit_symmetric(2), rng)
         assert len(pp) == 3
         assert np.all((0 <= pp.parent_index) & (pp.parent_index < 5))
 
@@ -460,10 +459,6 @@ class TestScheduleValidation:
     def test_negative_tau0_rejected(self):
         with pytest.raises(ValueError):
             PseudoSchedule(tau0=-0.01)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            PseudoSchedule(tau0=0.01, mode="grid")
 
     def test_empty_data_per_observation_rejected(self):
         rng = np.random.default_rng(25)

@@ -117,7 +117,8 @@ def two_model_envelope(instance, trials, theory_params):
         params = gp.KernelParams(np.full(d, 0.6), 1.0, instance.noise_variance)
         base = domain.sample(rng, instance.n_base)
         placeholder = gp.Dataset(base, np.zeros(instance.n_base))
-        pp_shape = pseudo.generate(placeholder, theory._schedule_for(instance), domain, rng)
+        parents = rng.integers(0, instance.n_base, size=instance.n_pseudo)
+        pp_shape = pseudo._place(placeholder, parents, instance.tau, domain, rng)
         queries = domain.sample(rng, 8)
         grid_axis = np.linspace(-1.0, 1.0, 96)
         grids = []
