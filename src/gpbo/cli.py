@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import theory
+from .acquisition import AcquisitionSpec
 from .domain import BoxDomain
 from .engine import RegretTrace, RunConfig, run_bo, run_bopp
 from .gp import FitConfig
@@ -52,10 +53,9 @@ class AlgorithmSpec:
     tau0: float = 0.0
 
     def __post_init__(self):
-        if self.acquisition not in ("pi", "ei", "ucb"):
-            raise ValueError(f"acquisition must be pi, ei or ucb, got {self.acquisition!r}")
-        if not (math.isfinite(self.tau0) and self.tau0 >= 0):
-            raise ValueError(f"tau0 must be non-negative and finite, got {self.tau0!r}")
+        # The kind and tau0 rules live on the classes these values go to.
+        AcquisitionSpec(self.acquisition)
+        PseudoSchedule(self.tau0)
 
     @classmethod
     def parse(cls, label: str) -> "AlgorithmSpec":
@@ -99,6 +99,11 @@ class ExperimentConfig:
             raise ValueError("jobs must be at least 1")
         if not self.algorithms:
             raise ValueError("at least one algorithm is required")
+        # Results are keyed by algorithm name, so a repeated name would drop runs.
+        names = [algo.name for algo in self.algorithms]
+        for name in names:
+            if names.count(name) > 1:
+                raise ValueError(f"algorithm name {name!r} is used more than once")
         # The per-run rules live on RunConfig; check them once here, before any run.
         RunConfig(budget=self.budget, initial_points=self.initial_points, delta=self.delta,
                   noise_variance=self.noise_variance)

@@ -81,8 +81,7 @@ class RunConfig:
             raise ValueError("delta must lie strictly inside (0, 1)")
         if not (math.isfinite(self.noise_variance) and self.noise_variance >= 0):
             raise ValueError("noise variance must be non-negative and finite")
-        if self.acquisition_kind not in ("pi", "ei", "ucb"):
-            raise ValueError(f"unknown acquisition kind {self.acquisition_kind!r}")
+        acq.AcquisitionSpec(self.acquisition_kind)  # owns the set of kinds
         if self.standardize and self.unit_amplitude:
             raise ValueError("unit_amplitude mode forbids observation centering")
 

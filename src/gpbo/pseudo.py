@@ -74,7 +74,7 @@ class PseudoSchedule:
 
     def __post_init__(self):
         if self.tau0 < 0 or not np.isfinite(self.tau0):
-            raise ValueError("tau0 must be non-negative and finite")
+            raise ValueError(f"tau0 must be non-negative and finite, got {self.tau0!r}")
 
     @property
     def enabled(self) -> bool:

@@ -157,22 +157,27 @@ class TestContinuity:
 
 class TestAcquisitionSpec:
     @pytest.mark.parametrize("kind", ["pi", "ei", "ucb"])
-    def test_array_values_bitwise_equal_scalar(self, kind):
+    def test_array_values_match_ndtr_reference(self, kind):
         rng = np.random.default_rng(31)
         mean = np.concatenate([rng.normal(size=400), [0.3, 0.3, 0.2, 0.4, -1e-300]])
         std = np.concatenate([np.abs(rng.normal(size=400)) * 10.0 ** rng.uniform(-9, 1, 400),
                               [0.0, 1e-300, 0.0, 0.0, 0.0]])
         std[::7] = 0.0
-        spec = acq.AcquisitionSpec(kind, incumbent=0.3, beta=3.7)
-        values = spec.values(mean, std)
-        scalar = {
-            "pi": lambda m, s: acq.pi_value(m, s, 0.3),
-            "ei": lambda m, s: acq.ei_value(m, s, 0.3),
-            "ucb": lambda m, s: acq.ucb_value(m, s, 3.7),
-        }[kind]
-        expected = np.array([scalar(float(m), float(s)) for m, s in zip(mean, std)])
+        values = acq.AcquisitionSpec(kind, incumbent=0.3, beta=3.7).values(mean, std)
         assert values.shape == mean.shape
-        np.testing.assert_array_equal(values.view(np.int64), expected.view(np.int64))
+        if kind == "ucb":
+            np.testing.assert_array_equal(values, mean + math.sqrt(3.7) * std)
+            return
+        point = std == 0.0
+        gap = mean[~point] - 0.3
+        z = gap / std[~point]
+        if kind == "pi":
+            spread, at_point = ndtr(z), np.where(mean[point] > 0.3, 1.0, 0.0)
+        else:
+            spread = gap * ndtr(z) + std[~point] * np.exp(-0.5 * z * z) / math.sqrt(2 * math.pi)
+            at_point = np.zeros(point.sum())
+        np.testing.assert_allclose(values[~point], spread, rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(values[point], at_point)
 
     @pytest.mark.parametrize("kind", ["pi", "ei"])
     def test_array_values_reject_bad_inputs(self, kind):
@@ -189,3 +194,5 @@ class TestAcquisitionSpec:
             acq.AcquisitionSpec("pi", incumbent=math.inf)
         with pytest.raises(ValueError):
             acq.AcquisitionSpec("ucb", beta=-1.0)
+        with pytest.raises(ValueError):
+            acq.ucb_value(0.0, 1.0, math.inf)

@@ -391,13 +391,16 @@ class TestMainEntry:
           "external": {"command": "echo 1", "lower": [1, 0], "upper": [0, 1]}},
          "each lower bound must be strictly below its upper bound"),
         ({"jobs": 0}, "jobs must be at least 1"),
+        ({"objective": "dropwave",
+          "algorithms": [{"acquisition": "ucb"}, {"acquisition": "ucb", "tau0": 0.01}]},
+         "algorithm name 'ucb' is used more than once"),
     ], ids=["external-bounds", "acquisition-missing", "acquisition-unknown", "tau0-negative",
             "budget-type", "objective-unknown", "external-block-missing", "bool-from-string",
             "bool-from-int", "int-from-bool", "float-from-bool", "algorithm-float-from-bool",
             "int-from-fraction", "repeats-from-fraction", "int-from-integral-float",
             "int-from-string", "float-from-string", "algorithm-float-from-string",
             "budget-zero", "delta-outside", "noise-negative", "external-lower-above-upper",
-            "jobs-zero"])
+            "jobs-zero", "algorithm-name-duplicate"])
     def test_run_rejects_malformed_config(self, tmp_path, block, message):
         config_path = tmp_path / "exp.json"
         config_path.write_text(json.dumps({"budget": 3, "repeats": 1, **block}))
@@ -410,6 +413,12 @@ class TestMainEntry:
         out_dir = tmp_path / "out"
         with pytest.raises(ValueError, match="unknown objective 'dropwav'"):
             cli.main(["run", "--objective", "dropwav", "--out", str(out_dir)])
+        assert not out_dir.exists()
+
+    def test_run_rejects_duplicate_algorithm_flag(self, tmp_path):
+        out_dir = tmp_path / "out"
+        with pytest.raises(ValueError, match="algorithm name 'ucb' is used more than once"):
+            cli.main(["run", "--algorithms", "ucb,UCB", "--out", str(out_dir)])
         assert not out_dir.exists()
 
     def test_json_booleans_accepted(self):
