@@ -5,6 +5,12 @@ The posterior is kept in factored form: a lower Cholesky factor of
 ``(K + noise_variance * I) w = y``.  All query operations reuse the factor
 and never invert a matrix; only the likelihood gradient of the hyper-parameter
 fit takes an explicit inverse, from LAPACK ``dpotri`` on the same factor.
+
+The fit's searches run scipy's L-BFGS-B core (``setulb``, Byrd, Lu, Nocedal
+& Zhu 1995) from a short driver loop, ``minimize``.  It passes what
+``scipy.optimize.minimize(method="L-BFGS-B")`` passes and returns the same
+bits, but skips that wrapper's per-call bookkeeping, which cost about as much
+as the likelihood itself on small data sets.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ import numpy as np
 from scipy.linalg import solve_triangular
 from scipy.linalg.blas import dtrsm
 from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
-from scipy.optimize import minimize
+from scipy.optimize import OptimizeResult
+from scipy.optimize._lbfgsb import setulb
 
 __all__ = [
     "Dataset",
@@ -361,6 +368,70 @@ def _nll_and_grad(
     return nll, grad
 
 
+# scipy's L-BFGS-B defaults: the memory, ``ftol`` as a multiple of the machine
+# epsilon, ``gtol``, the line-search steps and the evaluation cap.
+_LBFGSB_MEMORY = 10
+_LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
+_LBFGSB_PGTOL = 1e-5
+_LBFGSB_MAXLS = 20
+_LBFGSB_MAXFUN = 15000
+
+
+def minimize(fun, x0, args, bounds, max_iter, known=None) -> OptimizeResult:
+    """L-BFGS-B minimum of ``fun(x, *args) -> (value, gradient)`` in the box
+    ``bounds``, a sequence of finite (low, high) pairs, one per coordinate.
+
+    The same search as ``scipy.optimize.minimize(fun, x0, args, method=
+    "L-BFGS-B", jac=True, bounds=bounds, options={"maxiter": max_iter})``,
+    bit for bit: ``x0`` is clipped to the box, the core gets scipy's default
+    settings and stopping rules, and a one-entry memo on ``x`` answers a
+    repeated request, so ``nfev`` counts what scipy's would.  ``known`` is
+    ``(value, gradient)`` at ``x0`` if the caller has it already; it answers
+    the first request and is not counted in ``nfev``.  ``fun`` must not write
+    into its argument.  The result has ``x``, ``fun`` and ``nfev``.
+    """
+    x0 = np.asarray(x0, dtype=float).ravel()
+    box = np.array(bounds, dtype=float)
+    # The core reads n bounds of each kind, and nbd = 2 marks them all finite.
+    if box.shape != (x0.size, 2) or not np.all(np.isfinite(box)) or np.any(box[:, 0] > box[:, 1]):
+        raise ValueError("bounds must be one finite (low, high) pair with low <= high per coordinate")
+    low, high = box.T.copy()
+    x = np.clip(x0, low, high)
+    n, m = x.size, _LBFGSB_MEMORY
+    nbd = np.full(n, 2, dtype=np.int32)
+    f, g = np.array(0.0), np.zeros(n)
+    wa = np.zeros(2 * m * n + 5 * n + 11 * m * m + 8 * m)
+    iwa = np.zeros(3 * n, dtype=np.int32)
+    task = np.zeros(2, dtype=np.int32)
+    ln_task = np.zeros(2, dtype=np.int32)
+    lsave = np.zeros(4, dtype=np.int32)
+    isave = np.zeros(44, dtype=np.int32)
+    dsave = np.zeros(29)
+    seeded = known is not None and np.array_equal(x, x0)
+    memo_x, memo = (x.copy(), known) if seeded else (None, None)
+    nfev = iterations = 0
+    while True:
+        setulb(m, x, low, high, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL, wa, iwa,
+               task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
+        if task[0] == 3:  # FG: the core wants the value and gradient at x
+            if memo_x is None or not np.array_equal(x, memo_x):
+                memo_x = x.copy()
+                memo = fun(memo_x, *args)
+                nfev += 1
+            f, grad = memo
+            # A copy: the core may write into g, and the memo must keep it.
+            g = np.array(grad, dtype=float)
+        elif task[0] == 1:  # NEW_X: an iteration is done
+            iterations += 1
+            if iterations >= max_iter:
+                task[:] = 5, 504  # STOP: iteration limit
+            elif nfev + seeded > _LBFGSB_MAXFUN:
+                task[:] = 5, 502  # STOP: evaluation limit
+        else:  # converged, stopped or abnormal
+            break
+    return OptimizeResult(x=x, fun=f, nfev=nfev)
+
+
 def _pack(params: KernelParams, config: FitConfig) -> np.ndarray:
     parts = [np.log(params.lengthscales)]
     if not config.fix_amplitude:
@@ -409,20 +480,14 @@ def fit(data: Dataset, init: KernelParams, config: FitConfig = FitConfig(),
         starts.append(np.concatenate(draw))
 
     args = (y, stack, init.amplitude if config.fix_amplitude else None, init.noise_variance)
-    best_theta = starts[0]
-    best_nll = _nll_and_grad(starts[0], *args)[0]
+    first = _nll_and_grad(starts[0], *args)
+    best_theta, best_nll = starts[0], first[0]
     if best_nll >= 1e25:
         raise FactorizationError("likelihood is not computable at the initial parameters")
     for theta0 in starts:
-        res = minimize(
-            _nll_and_grad,
-            theta0,
-            args=args,
-            method="L-BFGS-B",
-            jac=True,
-            bounds=bounds,
-            options={"maxiter": config.max_iter},
-        )
+        # The first search starts where ``first`` was evaluated.
+        known = first if theta0 is starts[0] else None
+        res = minimize(_nll_and_grad, theta0, args, bounds, config.max_iter, known)
         if np.all(np.isfinite(res.x)) and res.fun < best_nll:
             best_nll = res.fun
             best_theta = res.x

@@ -8,7 +8,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import cholesky, solve_triangular
+from scipy.optimize import minimize as scipy_minimize
 
 from gpbo import gp
 from gpbo.gp import Dataset, FitConfig, KernelParams
@@ -437,9 +440,9 @@ class TestFit:
         starts = []
         original = gp.minimize
 
-        def recording(fun, x0, *args, **kwargs):
+        def recording(fun, x0, args, bounds, max_iter, known=None):
             starts.append(np.array(x0))
-            return original(fun, x0, *args, **kwargs)
+            return original(fun, x0, args, bounds, max_iter, known)
 
         monkeypatch.setattr(gp, "minimize", recording)
         rng = np.random.default_rng(7)
@@ -448,6 +451,32 @@ class TestFit:
         assert len(starts) == 1
         np.testing.assert_array_equal(starts[0], gp._pack(init, config))
         assert rng.bit_generator.state == state
+
+    def test_first_search_reuses_the_start_value(self, monkeypatch):
+        """``fit`` evaluates the likelihood at ``init`` once, for its acceptance
+        threshold and the first search alike, and the searches' ``nfev`` count
+        every other evaluation."""
+        data = random_dataset(np.random.default_rng(5), 15, 3)
+        init = KernelParams(lengthscales=np.array([0.4, 0.7, 1.1]))
+        config = FitConfig(n_starts=3, max_iter=10)
+        at_init, searched = [], []
+        original_nll, original_minimize = gp._nll_and_grad, gp.minimize
+
+        def counting(log_theta, *args):
+            at_init.append(np.array_equal(log_theta, gp._pack(init, config)))
+            return original_nll(log_theta, *args)
+
+        def recording(*args):
+            res = original_minimize(*args)
+            searched.append(res.nfev)
+            return res
+
+        monkeypatch.setattr(gp, "_nll_and_grad", counting)
+        monkeypatch.setattr(gp, "minimize", recording)
+        gp.fit(data, init, config)
+        assert sum(at_init) == 1
+        assert len(searched) == 3
+        assert len(at_init) == 1 + sum(searched)
 
     def test_noise_held_fixed_by_default(self):
         rng = np.random.default_rng(21)
@@ -459,6 +488,74 @@ class TestFit:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValueError):
             gp.fit(gp.empty_dataset(2), KernelParams(lengthscales=np.ones(2)))
+
+
+def likelihood_search(seed, d, n, fixed):
+    """Start, arguments and box of an ``_nll_and_grad`` search set up as ``fit``
+    sets one up; the start may lie outside the box."""
+    rng = np.random.default_rng(seed)
+    data = random_dataset(rng, n, d)
+    args = (data.observations, gp._lik_stack(data.points), 1.0 if fixed else None, 1e-4)
+    bounds = [(math.log(0.1), math.log(2.0))] * d
+    if not fixed:
+        bounds.append((math.log(1e-10), math.log(1e10)))
+    x0 = rng.uniform(math.log(0.05), math.log(4.0), size=len(bounds))
+    return x0, args, bounds
+
+
+def assert_same_search_as_scipy(seed, d, n, fixed, max_iter):
+    """``gp.minimize`` against scipy's L-BFGS-B, with and without a known start
+    value; returns scipy's exit message."""
+    x0, args, bounds = likelihood_search(seed, d, n, fixed)
+    ref = scipy_minimize(gp._nll_and_grad, x0, args=args, method="L-BFGS-B", jac=True,
+                         bounds=bounds, options={"maxiter": max_iter})
+    res = gp.minimize(gp._nll_and_grad, x0, args, bounds, max_iter)
+    assert res.x.tobytes() == ref.x.tobytes()
+    assert np.float64(res.fun).tobytes() == np.float64(ref.fun).tobytes()
+    assert res.nfev == ref.nfev
+    # A value known at the start answers the first request, if the start is in the box.
+    inside = np.array_equal(np.clip(x0, *np.array(bounds).T), x0)
+    seeded = gp.minimize(gp._nll_and_grad, x0, args, bounds, max_iter,
+                         gp._nll_and_grad(x0, *args))
+    assert seeded.x.tobytes() == ref.x.tobytes()
+    assert np.float64(seeded.fun).tobytes() == np.float64(ref.fun).tobytes()
+    assert seeded.nfev == ref.nfev - inside
+    return ref.message
+
+
+class TestLbfgsbDriver:
+    """``gp.minimize`` drives scipy's L-BFGS-B core and must match
+    ``scipy.optimize.minimize`` bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 6), st.integers(1, 60), st.booleans(),
+           st.integers(1, 40))
+    def test_same_bits_as_scipy(self, seed, d, n, fixed, max_iter):
+        assert_same_search_as_scipy(seed, d, n, fixed, max_iter)
+
+    # Every exit the shipped runs reach: both convergence tests, the iteration
+    # cap (at hart6's size, with free and fixed amplitude) and an abnormal line
+    # search, where the core restores the previous iterate.
+    @pytest.mark.parametrize("search, exit", [
+        ((3, 2, 42, False, 30), "CONVERGENCE: NORM OF PROJECTED GRADIENT <= PGTOL"),
+        ((1, 3, 43, False, 26), "CONVERGENCE: RELATIVE REDUCTION OF F <= FACTR*EPSMCH"),
+        ((2, 6, 39, False, 11), "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"),
+        ((15, 6, 29, True, 13), "STOP: TOTAL NO. OF ITERATIONS REACHED LIMIT"),
+        ((61, 1, 34, False, 14), "ABNORMAL: "),
+    ])
+    def test_every_shipped_exit(self, search, exit):
+        assert assert_same_search_as_scipy(*search) == exit
+
+    @pytest.mark.parametrize("bounds", [
+        [(-1.0, 1.0)],
+        [(-1.0, 1.0)] * 3,
+        [(-1.0, 1.0), (1.0, -1.0)],
+        [(-1.0, 1.0), (-np.inf, 1.0)],
+        [(-1.0, 0.0, 1.0), (-1.0, 0.0, 1.0)],
+    ])
+    def test_bad_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError):
+            gp.minimize(lambda x: (float(x @ x), 2 * x), np.zeros(2), (), bounds, 10)
 
 
 class TestValidation:

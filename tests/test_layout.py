@@ -88,6 +88,44 @@ def test_one_block_update():
             assert named != "_chol_with_jitter", f"{path.name} factorizes a block itself"
 
 
+def dotted(node):
+    """``a.b.c`` for a chain of attribute reads on a name, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    return ".".join([node.id, *reversed(parts)]) if isinstance(node, ast.Name) else None
+
+
+def test_one_lbfgsb_driver():
+    # The fit's searches go through gp.minimize, which drives scipy's L-BFGS-B
+    # core: only gp touches the private _lbfgsb module, and no module calls
+    # scipy.optimize.minimize.
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+                names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [dotted(node) or ""]
+            for name in names:
+                assert not name.endswith("optimize.minimize"), f"{path.name} calls {name}"
+                if "_lbfgsb" in name.split("."):
+                    assert path.name == "gp.py", f"{path.name} touches {name}"
+
+
+def test_lbfgsb_core_signature():
+    # gp.minimize passes setulb's arguments by position, as scipy's own
+    # L-BFGS-B loop does since the core was ported to C in scipy 1.15.
+    from scipy.optimize import _lbfgsb
+
+    assert _lbfgsb.setulb.__doc__.splitlines()[0] == (
+        "setulb(m,x,l,u,nbd,f,g,factr,pgtol,wa,iwa,task,lsave,isave,dsave,maxls,ln_task)"
+    )
+
+
 # A knob or field joins these only with a shipped caller.
 PINNED_FIELDS = {
     "RunConfig": ["budget", "initial_points", "acquisition_kind", "delta", "noise_variance",
