@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import traceback
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -71,11 +72,34 @@ class AlgorithmSpec:
 
 
 @dataclass(frozen=True)
-class ExperimentConfig:
-    """Fully-resolved description of one experiment.
+class ExternalSpec:
+    """The ``external`` block: the command to run and the box it searches."""
 
-    The ``external_*`` fields are the ``external`` block of the JSON form.
-    """
+    command: str
+    lower: tuple[float, ...]
+    upper: tuple[float, ...]
+
+    def __post_init__(self):
+        if not isinstance(self.command, str) or not self.command:
+            raise ValueError(
+                f"external key 'command' must be a non-empty string, got {self.command!r}"
+            )
+        for key in ("lower", "upper"):
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple)) or not all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
+            ):
+                raise ValueError(f"external key {key!r} must be a list of numbers, got {value!r}")
+            object.__setattr__(self, key, tuple(value))
+        self.domain()
+
+    def domain(self) -> BoxDomain:
+        return BoxDomain(np.array(self.lower), np.array(self.upper))
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Fully-resolved description of one experiment; ``to_dict`` is its JSON form."""
 
     objective: str = "griewank"
     algorithms: tuple[AlgorithmSpec, ...] = (AlgorithmSpec("ucb", "ucb"),)
@@ -88,9 +112,7 @@ class ExperimentConfig:
     standardize: bool = True
     out_dir: str = "results"
     jobs: int = 1
-    external_command: str | None = None
-    external_lower: tuple[float, ...] | None = None
-    external_upper: tuple[float, ...] | None = None
+    external: ExternalSpec | None = None
 
     def __post_init__(self):
         if self.repeats < 1:
@@ -108,9 +130,8 @@ class ExperimentConfig:
         RunConfig(budget=self.budget, initial_points=self.initial_points, delta=self.delta,
                   noise_variance=self.noise_variance)
         if self.objective == "external":
-            if not self.external_command or self.external_lower is None or self.external_upper is None:
+            if self.external is None:
                 raise ValueError("external objective requires a command and bounds")
-            BoxDomain(np.array(self.external_lower), np.array(self.external_upper))
         elif self.objective not in SYNTHETIC_NAMES:
             raise ValueError(
                 f"unknown objective {self.objective!r}; valid names: "
@@ -119,27 +140,11 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """The JSON form that ``config_from_dict`` reads back."""
-        out, external = {}, {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.name == "algorithms":
-                out[f.name] = [asdict(a) for a in value]
-            elif f.name.startswith(_EXTERNAL):
-                external[f.name.removeprefix(_EXTERNAL)] = value
-            else:
-                out[f.name] = value
-        if self.external_command is not None:
-            out["external"] = external
-        return out
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
-_EXTERNAL = "external_"
-_CONFIG_KEYS = frozenset(
-    f.name for f in fields(ExperimentConfig) if not f.name.startswith(_EXTERNAL)
-) | {"external"}
-_EXTERNAL_KEYS = frozenset(
-    f.name.removeprefix(_EXTERNAL) for f in fields(ExperimentConfig) if f.name.startswith(_EXTERNAL)
-)
+_CONFIG_KEYS = frozenset(f.name for f in fields(ExperimentConfig))
+_EXTERNAL_KEYS = frozenset(f.name for f in fields(ExternalSpec))
 _ALGORITHM_KEYS = frozenset(f.name for f in fields(AlgorithmSpec))
 
 
@@ -154,18 +159,23 @@ def _check_keys(block: dict, valid: frozenset, name: str, required=frozenset()) 
         raise ValueError(f"{name} is missing keys: {', '.join(missing)}")
 
 
+# The JSON scalar types by annotation; this module's annotations are strings.
+_SCALAR_TYPES = {"bool": bool, "int": int, "float": float, "str": str}
+
+
 def _field_values(cls, block: dict, name: str) -> dict:
     """The entries of ``block`` that are fields of ``cls``.  A value whose field
-    defaults to a bool, int or float must already be a JSON value of that type:
-    a bool field takes only a bool, an int field only an integer, and a float
-    field an integer or a float.  No number field takes a bool or a string."""
+    is annotated bool, int, float or str must already be a JSON value of that
+    type: a bool field takes only a bool, an int field only an integer, a float
+    field an integer or a float, and a str field only a string.  No number
+    field takes a bool or a string."""
     values = {}
     for f in fields(cls):
         if f.name not in block:
             continue
         value = block[f.name]
-        if isinstance(f.default, (bool, int, float)):
-            kind = type(f.default)
+        kind = _SCALAR_TYPES.get(f.type)
+        if kind is not None:
             accepted = (int, float) if kind is float else kind
             if (kind is bool) != isinstance(value, bool) or not isinstance(value, accepted):
                 raise ValueError(f"{name} key {f.name!r} must be {kind.__name__}, got {value!r}")
@@ -177,6 +187,8 @@ def _field_values(cls, block: dict, name: str) -> dict:
 def _algorithm_from(entry, name: str) -> AlgorithmSpec:
     if isinstance(entry, str):
         return AlgorithmSpec.parse(entry)
+    if not isinstance(entry, dict):
+        raise ValueError(f"{name} must be a label string or an object, got {entry!r}")
     _check_keys(entry, _ALGORITHM_KEYS, name, required=frozenset({"acquisition"}))
     values = _field_values(AlgorithmSpec, entry, name)
     values["name"] = entry.get("name") or entry["acquisition"]
@@ -188,27 +200,28 @@ def _algorithm_from(entry, name: str) -> AlgorithmSpec:
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
     """The experiment a JSON config describes; absent keys take the field defaults."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"a config must be a JSON object, got {raw!r}")
     _check_keys(raw, _CONFIG_KEYS, "config")
     values = _field_values(ExperimentConfig, raw, "config")
     if "algorithms" in raw:
+        if not isinstance(raw["algorithms"], list):
+            raise ValueError(f"config key 'algorithms' must be a list, got {raw['algorithms']!r}")
         values["algorithms"] = tuple(
             _algorithm_from(entry, f"algorithms[{i}]") for i, entry in enumerate(raw["algorithms"])
         )
     external = raw.get("external")
     if external is not None:
+        if not isinstance(external, dict):
+            raise ValueError(f"config key 'external' must be an object, got {external!r}")
         _check_keys(external, _EXTERNAL_KEYS, "external", required=_EXTERNAL_KEYS)
-        values.update(
-            external_command=external["command"],
-            external_lower=tuple(external["lower"]),
-            external_upper=tuple(external["upper"]),
-        )
+        values["external"] = ExternalSpec(**external)
     return ExperimentConfig(**values)
 
 
 def _build_objective(config: ExperimentConfig) -> Objective:
     if config.objective == "external":
-        domain = BoxDomain(np.array(config.external_lower), np.array(config.external_upper))
-        return external_objective(config.external_command, domain)
+        return external_objective(config.external.command, config.external.domain())
     return make_synthetic(config.objective)
 
 
@@ -330,7 +343,9 @@ def _experiment(config: ExperimentConfig) -> tuple[int, list[SummaryRow]]:
             try:
                 results[(algo.name, repeat)] = call()
             except Exception as exc:  # noqa: BLE001 - recorded, run continues
-                failures.append({"algorithm": algo.name, "repeat": repeat, "error": str(exc)})
+                # A pool error carries its worker's traceback as its cause.
+                failures.append({"algorithm": algo.name, "repeat": repeat, "error": str(exc),
+                                 "traceback": "".join(traceback.format_exception(exc))})
 
     dimension = next(iter(results.values())).dimension if results else 0
     _write_rows(out / "rows.csv", dimension, results)
@@ -448,6 +463,11 @@ def summarize(out_dir: str | Path) -> list[SummaryRow]:
 def verify(seed: int, instances: int, report_path: str | Path | None = None,
            envelope_trials: int = 200) -> tuple[int, list[theory.CheckReport]]:
     """Run the verification suite; exit status 0 iff everything passes."""
+    # Both counts are checked before the first check runs.
+    if instances < 1:
+        raise ValueError(f"instances must be at least 1, got {instances}")
+    if envelope_trials < 1:
+        raise ValueError(f"envelope_trials must be at least 1, got {envelope_trials}")
     reports = theory.run_identity_suite(seed, instances)
     reports.append(
         theory.check_mean_error_envelope(

@@ -1,10 +1,10 @@
 """Sequential optimization loops with regret tracking.
 
-``run_bo`` is the plain loop: fit hyper-parameters, maximize an acquisition
-surface over the domain, evaluate, append.  ``run_bopp`` additionally
-generates one round of pseudo-points before each selection and maximizes
-the acquisition on the augmented posterior; the pseudo rows never touch
-hyper-parameter fitting or the incumbent.
+``run_bopp`` is the loop: fit hyper-parameters, generate one round of
+pseudo-points, maximize an acquisition surface on the augmented posterior
+over the domain, evaluate, append.  The pseudo rows never touch
+hyper-parameter fitting or the incumbent.  ``run_bo`` is the same loop with
+the schedule disabled (``tau0 = 0``), which generates no pseudo-points.
 
 Randomness is split into four named substreams (initial design, observation
 noise, pseudo-point signs, fit restarts) derived from the run seed, so
@@ -31,9 +31,9 @@ import numpy as np
 
 from . import acquisition as acq
 from . import direct, gp, pseudo
-from .gp import Dataset, FitConfig, KernelParams, empty_dataset
+from .gp import Dataset, FitConfig, KernelParams
 from .objectives import NoiseModel, Objective, observe
-from .pseudo import PseudoSchedule, disabled_schedule
+from .pseudo import PseudoSchedule
 
 __all__ = ["RunConfig", "RegretTrace", "run_bo", "run_bopp"]
 
@@ -43,6 +43,9 @@ logger = logging.getLogger(__name__)
 # _FULL_FIT_EVERY-th data size gets a multi-start fit (see the module docstring).
 _FULL_FIT_POINTS_PER_DIM = 10
 _FULL_FIT_EVERY = 5
+
+# The acquisition search spends this many DIRECT evaluations per dimension.
+_DIRECT_EVALUATIONS_PER_DIM = 200
 
 
 @dataclass(frozen=True)
@@ -56,8 +59,7 @@ class RunConfig:
     With the fixed noise level this keeps the likelihood surface sane for
     objectives whose raw scale dwarfs the noise.  ``unit_amplitude`` pins the
     signal variance at one, which the bound evaluator requires, and is
-    mutually exclusive with ``standardize``.  ``direct_config`` defaults to
-    a budget of 200*d evaluations.
+    mutually exclusive with ``standardize``.
     """
 
     budget: int
@@ -65,12 +67,11 @@ class RunConfig:
     acquisition_kind: str = "ucb"
     delta: float = 0.1
     noise_variance: float = 1e-4
-    pseudo: PseudoSchedule = field(default_factory=disabled_schedule)
+    pseudo: PseudoSchedule = PseudoSchedule(0.0)
     seed: int = 0
     standardize: bool = True
     unit_amplitude: bool = False
     fit: FitConfig = field(default_factory=FitConfig)
-    direct_config: direct.DirectConfig | None = None
 
     def __post_init__(self):
         if self.budget < 1:
@@ -144,13 +145,15 @@ def _initial_params(dimension: int, config: RunConfig) -> KernelParams:
     )
 
 
-def _direct_config(config: RunConfig, dimension: int) -> direct.DirectConfig:
-    if config.direct_config is not None:
-        return config.direct_config
-    return direct.DirectConfig(max_evaluations=200 * dimension)
+def run_bo(objective: Objective, config: RunConfig) -> RegretTrace:
+    """Plain sequential optimization (no pseudo-points)."""
+    if config.pseudo.enabled:
+        raise ValueError("run_bo requires a disabled pseudo schedule; use run_bopp")
+    return run_bopp(objective, config)
 
 
-def _run(objective: Objective, config: RunConfig, schedule: PseudoSchedule) -> RegretTrace:
+def run_bopp(objective: Objective, config: RunConfig) -> RegretTrace:
+    """Sequential optimization with pseudo-point-augmented selection."""
     d = objective.dimension
     t_total = config.budget
     master = np.random.SeedSequence(config.seed)
@@ -161,11 +164,11 @@ def _run(objective: Objective, config: RunConfig, schedule: PseudoSchedule) -> R
     noise = NoiseModel(config.noise_variance, np.random.default_rng(noise_ss))
     fit_config = replace(config.fit, fix_amplitude=config.fit.fix_amplitude or config.unit_amplitude)
     warm_config = replace(fit_config, n_starts=1)
-    direct_config = _direct_config(config, d)
+    direct_config = direct.DirectConfig(max_evaluations=_DIRECT_EVALUATIONS_PER_DIM * d)
 
     init_points = objective.domain.sample(init_rng, config.initial_points)
     init_obs = np.array([observe(objective, noise, x) for x in init_points])
-    data = Dataset(init_points, init_obs) if config.initial_points else empty_dataset(d)
+    data = Dataset(init_points, init_obs)
 
     params = _initial_params(d, config)
     optimum = objective.optimum_value
@@ -199,18 +202,13 @@ def _run(objective: Objective, config: RunConfig, schedule: PseudoSchedule) -> R
 
     for t in range(1, t_total + 1):
         started = time.perf_counter()
-        if config.standardize and len(data):
+        n = len(data)
+        fit_data = data
+        if config.standardize and n:
             shift = float(np.mean(data.observations))
             scale = max(float(np.std(data.observations)), 1e-12)
-        else:
-            shift, scale = 0.0, 1.0
-        fit_data = (
-            Dataset(data.points, (data.observations - shift) / scale)
-            if (shift, scale) != (0.0, 1.0)
-            else data
-        )
-        n = len(data)
-        if n > 0:
+            fit_data = Dataset(data.points, (data.observations - shift) / scale)
+        if n:
             full = n < _FULL_FIT_POINTS_PER_DIM * d or n % _FULL_FIT_EVERY == 0
             try:
                 params = gp.fit(fit_data, params, fit_config if full else warm_config, fit_rng)
@@ -218,9 +216,7 @@ def _run(objective: Objective, config: RunConfig, schedule: PseudoSchedule) -> R
                 logger.warning("iteration %d: hyper-parameter fit failed (%s); keeping previous", t, exc)
         model = gp.build_model(fit_data, params)
 
-        pp = pseudo.generate(fit_data, schedule, objective.domain, pseudo_rng) if len(data) else (
-            pseudo.empty_pseudo_set(d)
-        )
+        pp = pseudo.generate(fit_data, config.pseudo, objective.domain, pseudo_rng)
         selection_model = pseudo.augmented_model(model, pp)
 
         if config.acquisition_kind == "ucb":
@@ -229,7 +225,7 @@ def _run(objective: Objective, config: RunConfig, schedule: PseudoSchedule) -> R
             out.beta[t - 1] = beta
         else:
             # Incumbent in the same (transformed) units as the surrogate.
-            incumbent = float(np.max(fit_data.observations)) if len(data) else 0.0
+            incumbent = float(np.max(fit_data.observations)) if n else 0.0
             spec = acq.AcquisitionSpec(kind=config.acquisition_kind, incumbent=incumbent)
 
         def surface(x: np.ndarray) -> np.ndarray | float:
@@ -242,8 +238,6 @@ def _run(objective: Objective, config: RunConfig, schedule: PseudoSchedule) -> R
 
         _, sel_var = gp.posterior(selection_model, x_next)
         gain += 0.5 * math.log1p(sel_var / params.noise_variance)
-        if len(pp):
-            out.delta_v[t - 1] = pseudo.variance_reduction(model, pp, x_next)
 
         y_next = observe(objective, noise, x_next)
         f_next = objective.evaluate_true(x_next)
@@ -252,9 +246,10 @@ def _run(objective: Objective, config: RunConfig, schedule: PseudoSchedule) -> R
         out.points[idx] = x_next
         out.observations[idx] = y_next
         out.true_values[idx] = f_next
+        out.delta_v[idx] = pseudo.variance_reduction(model, pp, x_next)
         out.info_gain[idx] = gain
         out.pseudo_counts[idx] = len(pp)
-        out.taus[idx] = pp.tau if len(pp) else 0.0
+        out.taus[idx] = pp.tau
         out.lengthscales[idx] = params.lengthscales
         out.amplitudes[idx] = params.amplitude
         if optimum is not None:
@@ -269,15 +264,3 @@ def _run(objective: Objective, config: RunConfig, schedule: PseudoSchedule) -> R
         out.wall_ms[idx] = (time.perf_counter() - started) * 1e3
 
     return out
-
-
-def run_bo(objective: Objective, config: RunConfig) -> RegretTrace:
-    """Plain sequential optimization (no pseudo-points)."""
-    if config.pseudo.enabled:
-        raise ValueError("run_bo requires a disabled pseudo schedule; use run_bopp")
-    return _run(objective, config, disabled_schedule())
-
-
-def run_bopp(objective: Objective, config: RunConfig) -> RegretTrace:
-    """Sequential optimization with pseudo-point-augmented selection."""
-    return _run(objective, config, config.pseudo)

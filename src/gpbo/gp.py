@@ -297,7 +297,6 @@ class FitConfig:
     """
 
     n_starts: int = 8
-    max_iter: int = 40
     fix_amplitude: bool = False
     lengthscale_bounds: tuple[float, float] = (1e-3, 1e3)
     lengthscale_sample_range: tuple[float, float] = (0.05, 2.0)
@@ -375,6 +374,9 @@ _LBFGSB_FACTR = 2.2204460492503131e-09 / np.finfo(float).eps
 _LBFGSB_PGTOL = 1e-5
 _LBFGSB_MAXLS = 20
 _LBFGSB_MAXFUN = 15000
+
+# Iteration limit of each of the fit's searches.
+_FIT_MAX_ITER = 40
 
 
 def minimize(fun, x0, args, bounds, max_iter, known=None) -> OptimizeResult:
@@ -487,7 +489,7 @@ def fit(data: Dataset, init: KernelParams, config: FitConfig = FitConfig(),
     for theta0 in starts:
         # The first search starts where ``first`` was evaluated.
         known = first if theta0 is starts[0] else None
-        res = minimize(_nll_and_grad, theta0, args, bounds, config.max_iter, known)
+        res = minimize(_nll_and_grad, theta0, args, bounds, _FIT_MAX_ITER, known)
         if np.all(np.isfinite(res.x)) and res.fun < best_nll:
             best_nll = res.fun
             best_theta = res.x

@@ -204,7 +204,11 @@ class ObjectiveExitError(ExternalObjectiveError):
 
     def __init__(self, command: str, returncode: int, stderr: str):
         super().__init__(f"command {command!r} exited with status {returncode}: {stderr.strip()}")
-        self.returncode = returncode
+        self.command, self.returncode, self.stderr = command, returncode, stderr
+
+    def __reduce__(self):
+        # Rebuilt from the constructor's arguments, so it can leave a worker process.
+        return type(self), (self.command, self.returncode, self.stderr)
 
 
 class ObjectiveTimeoutError(ExternalObjectiveError):

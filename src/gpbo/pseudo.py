@@ -81,10 +81,6 @@ class PseudoSchedule:
         return self.tau0 > 0.0
 
 
-def disabled_schedule() -> PseudoSchedule:
-    return PseudoSchedule(tau0=0.0)
-
-
 def _displace(parent: np.ndarray, signs: np.ndarray, tau: float, domain: BoxDomain) -> np.ndarray:
     """The displaced point, with the boundary rule applied per coordinate."""
     point = parent + signs * tau
@@ -114,14 +110,12 @@ def generate(
     its signs redrawn a bounded number of times, then is accepted as-is (the
     model's jitter ladder absorbs the duplication).
 
-    A disabled schedule returns an empty set without consuming any draws.
+    A disabled schedule or an empty dataset gives an empty set without
+    consuming any draws.
     """
-    d = domain.dimension
-    if not schedule.enabled:
+    d, n = domain.dimension, len(data)
+    if not schedule.enabled or n == 0:
         return empty_pseudo_set(d)
-    n = len(data)
-    if n == 0:
-        raise ValueError("cannot generate pseudo-points from an empty dataset")
     tau = float(np.max(domain.widths)) * schedule.tau0 / (d * n)
     return _place(data, np.arange(n), tau, domain, rng)
 

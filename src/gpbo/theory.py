@@ -294,10 +294,13 @@ def check_mean_error_envelope(
     the envelope evaluated with the grid-estimated slope bound.  The
     envelope is probabilistic, so the check only asserts the exceedance
     fraction stays under ``threshold``.  An instance without pseudo-points
-    (``tau`` or ``n_pseudo`` zero) has nothing to check and is rejected.
+    (``tau`` or ``n_pseudo`` zero) has nothing to check and is rejected, as
+    is a ``trials`` count below one.
     """
     if instance.tau == 0.0 or instance.n_pseudo == 0:
         raise ValueError("the mean-error envelope needs tau > 0 and n_pseudo > 0")
+    if trials < 1:
+        raise ValueError(f"the mean-error envelope needs at least 1 trial, got {trials}")
     d = instance.dimension
     domain = unit_symmetric(d)
     params = KernelParams(

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 from gpbo import cli
-from gpbo.cli import AlgorithmSpec, ExperimentConfig, config_from_dict, run_experiment, summarize
-from gpbo.direct import DirectConfig
+from gpbo.cli import (
+    AlgorithmSpec, ExperimentConfig, ExternalSpec, config_from_dict, run_experiment, summarize,
+)
 from gpbo.domain import unit_symmetric
 from gpbo.objectives import Objective
 
@@ -70,10 +71,7 @@ def fast_direct(monkeypatch):
     """Keep CLI-driven runs quick: shrink the inner maximizer budget."""
     from gpbo import engine
 
-    monkeypatch.setattr(
-        engine, "_direct_config",
-        lambda config, dim: DirectConfig(max_evaluations=40),
-    )
+    monkeypatch.setattr(engine, "_DIRECT_EVALUATIONS_PER_DIM", 20)
 
 
 class TestAlgorithmLabels:
@@ -145,8 +143,6 @@ class TestRunExperiment:
         ).read_text()
 
     def test_failures_recorded_and_nonzero_exit(self, tmp_path, monkeypatch):
-        from gpbo import engine
-
         calls = {"n": 0}
         original = cli._one_run
 
@@ -162,6 +158,25 @@ class TestRunExperiment:
         assert status == 1
         failures = json.loads((Path(config.out_dir) / "failures.json").read_text())
         assert failures[0]["error"] == "synthetic failure"
+        assert failures[0]["traceback"].startswith("Traceback (most recent call last):")
+        assert "in flaky" in failures[0]["traceback"]
+        assert failures[0]["traceback"].endswith("RuntimeError: synthetic failure\n")
+
+    def test_pool_failure_keeps_worker_traceback(self, tmp_path):
+        import sys
+
+        command = f"{sys.executable} -c \"import sys; sys.exit(3)\""
+        config = tiny_config(
+            tmp_path, objective="external", algorithms=(AlgorithmSpec.parse("ucb"),), repeats=1,
+            jobs=2, external=ExternalSpec(command, (-1.0,), (1.0,)),
+        )
+        assert run_experiment(config) == 1
+        failures = json.loads((Path(config.out_dir) / "failures.json").read_text())
+        assert len(failures) == 1
+        assert "exited with status 3" in failures[0]["error"]
+        # The worker's own frames, then the re-raise in the parent.
+        assert "in _one_run" in failures[0]["traceback"]
+        assert "direct cause of the following exception" in failures[0]["traceback"]
 
 
 class TestParallelRepeats:
@@ -193,12 +208,12 @@ class TestExternalThroughHarness:
             seed=0,
             noise_variance=0.0,
             out_dir=str(tmp_path / "ext"),
-            external_command=(
+            external=ExternalSpec(
                 f"{sys.executable} -c "
-                "\"import sys; print(-sum(float(v)**2 for v in sys.stdin.read().split()))\""
+                "\"import sys; print(-sum(float(v)**2 for v in sys.stdin.read().split()))\"",
+                (-1.0, -1.0),
+                (1.0, 1.0),
             ),
-            external_lower=(-1.0, -1.0),
-            external_upper=(1.0, 1.0),
         )
         assert run_experiment(config) == 0
         summary = read_csv(Path(config.out_dir) / "summary.csv")[0]
@@ -297,6 +312,21 @@ class TestVerifyCommand:
         failed = [r for r in reports if not r.passed]
         assert any(r.name == "variance_reduction_identity" for r in failed)
 
+    @pytest.mark.parametrize("counts, message", [
+        (dict(instances=-3), "instances must be at least 1, got -3"),
+        (dict(envelope_trials=0), "envelope_trials must be at least 1, got 0"),
+    ], ids=["instances", "envelope-trials"])
+    def test_bad_counts_rejected_before_any_check(self, monkeypatch, counts, message):
+        from gpbo import theory
+
+        def not_run(*args, **kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr(theory, "run_identity_suite", not_run)
+        monkeypatch.setattr(theory, "check_mean_error_envelope", not_run)
+        with pytest.raises(ValueError, match=message):
+            cli.verify(**{"seed": 0, "instances": 5, "envelope_trials": 10, **counts})
+
 
 class TestMainEntry:
     def test_run_and_summarize_subcommands(self, tmp_path, capsys):
@@ -340,6 +370,14 @@ class TestMainEntry:
         config_path.write_text(json.dumps({"objective": "dropwave", "budjet": 3, "algorithm": ["ei"]}))
         out_dir = tmp_path / "out"
         with pytest.raises(ValueError, match="unknown config keys: algorithm, budjet;"):
+            cli.main(["run", "--config", str(config_path), "--out", str(out_dir)])
+        assert not out_dir.exists()
+
+    def test_run_rejects_non_object_config(self, tmp_path):
+        config_path = tmp_path / "exp.json"
+        config_path.write_text(json.dumps([1]))
+        out_dir = tmp_path / "out"
+        with pytest.raises(ValueError, match=r"a config must be a JSON object, got \[1\]"):
             cli.main(["run", "--config", str(config_path), "--out", str(out_dir)])
         assert not out_dir.exists()
 
@@ -394,13 +432,34 @@ class TestMainEntry:
         ({"objective": "dropwave",
           "algorithms": [{"acquisition": "ucb"}, {"acquisition": "ucb", "tau0": 0.01}]},
          "algorithm name 'ucb' is used more than once"),
+        ({"algorithms": 5}, "config key 'algorithms' must be a list, got 5"),
+        ({"algorithms": "ucb"}, "config key 'algorithms' must be a list, got 'ucb'"),
+        ({"algorithms": [5]}, r"algorithms\[0\] must be a label string or an object, got 5"),
+        ({"objective": 5}, "config key 'objective' must be str, got 5"),
+        ({"algorithms": [{"name": 5, "acquisition": "ucb"}]},
+         r"algorithms\[0\] key 'name' must be str, got 5"),
+        ({"out_dir": 5}, "config key 'out_dir' must be str, got 5"),
+        ({"objective": "external", "external": ["echo 1", [0], [1]]},
+         r"config key 'external' must be an object, got \['echo 1', \[0\], \[1\]\]"),
+        ({"objective": "external", "external": {"command": "", "lower": [0], "upper": [1]}},
+         "external key 'command' must be a non-empty string, got ''"),
+        ({"objective": "external", "external": {"command": 7, "lower": [0], "upper": [1]}},
+         "external key 'command' must be a non-empty string, got 7"),
+        ({"objective": "external", "external": {"command": "echo 1", "lower": 1, "upper": [1]}},
+         "external key 'lower' must be a list of numbers, got 1"),
+        ({"objective": "external",
+          "external": {"command": "echo 1", "lower": [0], "upper": ["1"]}},
+         r"external key 'upper' must be a list of numbers, got \['1'\]"),
     ], ids=["external-bounds", "acquisition-missing", "acquisition-unknown", "tau0-negative",
             "budget-type", "objective-unknown", "external-block-missing", "bool-from-string",
             "bool-from-int", "int-from-bool", "float-from-bool", "algorithm-float-from-bool",
             "int-from-fraction", "repeats-from-fraction", "int-from-integral-float",
             "int-from-string", "float-from-string", "algorithm-float-from-string",
             "budget-zero", "delta-outside", "noise-negative", "external-lower-above-upper",
-            "jobs-zero", "algorithm-name-duplicate"])
+            "jobs-zero", "algorithm-name-duplicate", "algorithms-number", "algorithms-string",
+            "algorithm-entry-number", "objective-number", "algorithm-name-number", "out-dir-number", "external-list",
+            "external-command-empty", "external-command-number", "external-lower-number",
+            "external-upper-strings"])
     def test_run_rejects_malformed_config(self, tmp_path, block, message):
         config_path = tmp_path / "exp.json"
         config_path.write_text(json.dumps({"budget": 3, "repeats": 1, **block}))

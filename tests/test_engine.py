@@ -6,14 +6,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gpbo import engine, gp, pseudo
-from gpbo.direct import DirectConfig
+from gpbo import direct, engine, gp, pseudo
 from gpbo.engine import RegretTrace, RunConfig, run_bo, run_bopp
 from gpbo.objectives import make_synthetic
 from gpbo.pseudo import PseudoSchedule
 from gpbo.theory import TheoryParams, evaluate_regret_bound, mean_error_bound
 
-FAST_DIRECT = DirectConfig(max_evaluations=60)
+
+@pytest.fixture(autouse=True)
+def fast_direct(monkeypatch):
+    """Keep runs quick: 30 acquisition-search evaluations per dimension."""
+    monkeypatch.setattr(engine, "_DIRECT_EVALUATIONS_PER_DIM", 30)
 
 
 def fast_config(**overrides):
@@ -22,7 +25,6 @@ def fast_config(**overrides):
         initial_points=4,
         acquisition_kind="ucb",
         seed=11,
-        direct_config=FAST_DIRECT,
     )
     base.update(overrides)
     return RunConfig(**base)
@@ -85,6 +87,26 @@ class TestRunBo:
         obj = make_synthetic("griewank")
         with pytest.raises(ValueError):
             run_bo(obj, fast_config(pseudo=PseudoSchedule(tau0=0.01)))
+
+    def test_shipped_search_budgets(self, monkeypatch):
+        """A run gives DIRECT 200*d evaluations and each fit search 40 iterations."""
+        monkeypatch.undo()  # drop fast_direct: this test pins the shipped budget
+        evaluations, iterations = set(), set()
+        original_maximize, original_minimize = direct.maximize, gp.minimize
+
+        def recording_maximize(objective, domain, config, **kwargs):
+            evaluations.add(config.max_evaluations)
+            return original_maximize(objective, domain, config, **kwargs)
+
+        def recording_minimize(fun, x0, args, bounds, max_iter, known=None):
+            iterations.add(max_iter)
+            return original_minimize(fun, x0, args, bounds, max_iter, known)
+
+        monkeypatch.setattr(direct, "maximize", recording_maximize)
+        monkeypatch.setattr(gp, "minimize", recording_minimize)
+        run_bo(make_synthetic("hart6"), fast_config(budget=2))
+        assert evaluations == {200 * 6}
+        assert iterations == {40}
 
     def test_points_stay_in_domain(self):
         obj = make_synthetic("rastrigin")

@@ -387,10 +387,11 @@ class TestCholWithJitter:
 
 
 class TestFit:
-    def test_single_point_monotone_contract(self):
+    def test_single_point_monotone_contract(self, monkeypatch):
+        monkeypatch.setattr(gp, "_FIT_MAX_ITER", 20)
         data = Dataset(np.array([[0.0, 0.0]]), [1.0])
         init = KernelParams(lengthscales=np.array([1.0, 1.0]), noise_variance=1e-2)
-        fitted = gp.fit(data, init, FitConfig(n_starts=3, max_iter=20))
+        fitted = gp.fit(data, init, FitConfig(n_starts=3))
         assert nll(data, fitted) <= nll(data, init) + 1e-10
 
     def test_recovers_lengthscale_coarsely(self):
@@ -423,20 +424,22 @@ class TestFit:
         best = grid[int(np.argmax([grid_ll(s) for s in grid]))]
         assert 0.1 <= best <= 0.9
 
-    def test_fit_never_below_init_likelihood(self):
+    def test_fit_never_below_init_likelihood(self, monkeypatch):
+        monkeypatch.setattr(gp, "_FIT_MAX_ITER", 15)
         rng = np.random.default_rng(20)
         for seed in range(5):
             data = random_dataset(np.random.default_rng(seed), 12, 2)
             init = random_params(rng, 2, noise=1e-3)
             for n_starts in (4, 1):
-                fitted = gp.fit(data, init, FitConfig(n_starts=n_starts, max_iter=15))
+                fitted = gp.fit(data, init, FitConfig(n_starts=n_starts))
                 assert nll(data, fitted) <= nll(data, init) + 1e-9
 
     def test_one_start_is_the_warm_search_alone(self, monkeypatch):
         """The run loop's warm-only refit: one search, from ``init``, no draws."""
         data = random_dataset(np.random.default_rng(4), 12, 2)
         init = KernelParams(lengthscales=np.array([0.5, 0.5]))
-        config = FitConfig(n_starts=1, max_iter=10)
+        monkeypatch.setattr(gp, "_FIT_MAX_ITER", 10)
+        config = FitConfig(n_starts=1)
         starts = []
         original = gp.minimize
 
@@ -458,7 +461,8 @@ class TestFit:
         every other evaluation."""
         data = random_dataset(np.random.default_rng(5), 15, 3)
         init = KernelParams(lengthscales=np.array([0.4, 0.7, 1.1]))
-        config = FitConfig(n_starts=3, max_iter=10)
+        monkeypatch.setattr(gp, "_FIT_MAX_ITER", 10)
+        config = FitConfig(n_starts=3)
         at_init, searched = [], []
         original_nll, original_minimize = gp._nll_and_grad, gp.minimize
 
@@ -478,11 +482,12 @@ class TestFit:
         assert len(searched) == 3
         assert len(at_init) == 1 + sum(searched)
 
-    def test_noise_held_fixed_by_default(self):
+    def test_noise_held_fixed_by_default(self, monkeypatch):
+        monkeypatch.setattr(gp, "_FIT_MAX_ITER", 10)
         rng = np.random.default_rng(21)
         data = random_dataset(rng, 8, 1)
         init = KernelParams(lengthscales=np.array([0.5]), noise_variance=3e-3)
-        fitted = gp.fit(data, init, FitConfig(n_starts=2, max_iter=10))
+        fitted = gp.fit(data, init, FitConfig(n_starts=2))
         assert fitted.noise_variance == init.noise_variance
 
     def test_empty_dataset_rejected(self):

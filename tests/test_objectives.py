@@ -177,6 +177,14 @@ class TestExternalObjective:
         assert exc.value.returncode == 3
         assert "3" in str(exc.value)
 
+    def test_exit_error_survives_pickling(self):
+        """A process pool hands a worker's error back pickled."""
+        import pickle
+
+        error = ObjectiveExitError("run.sh", 3, "boom\n")
+        copy = pickle.loads(pickle.dumps(error))
+        assert (type(copy), str(copy), copy.returncode) == (ObjectiveExitError, str(error), 3)
+
     def test_parse_failure(self):
         obj = external_objective(
             f"{sys.executable} -c \"print('not-a-number')\"", self.domain()

@@ -66,6 +66,14 @@ class TestGenerate:
         rng2.uniform(-1, 1, (4, 2))
         assert rng1.standard_normal() == rng2.standard_normal()
 
+    def test_empty_data_yields_empty_without_draws(self):
+        """One pseudo-point per observation: none, and no draws, for no data."""
+        rng = np.random.default_rng(25)
+        state = rng.bit_generator.state
+        pp = pseudo.generate(gp.empty_dataset(2), PseudoSchedule(tau0=0.01), unit_symmetric(2), rng)
+        assert len(pp) == 0 and pp.tau == 0.0
+        assert rng.bit_generator.state == state
+
     def test_schedule_arithmetic(self):
         # 5 points in [-1,1]^2 with tau0=0.01: tau = 2*0.01/(2*5) = 0.002.
         rng = np.random.default_rng(1)
@@ -459,10 +467,3 @@ class TestScheduleValidation:
     def test_negative_tau0_rejected(self):
         with pytest.raises(ValueError):
             PseudoSchedule(tau0=-0.01)
-
-    def test_empty_data_per_observation_rejected(self):
-        rng = np.random.default_rng(25)
-        with pytest.raises(ValueError):
-            pseudo.generate(
-                gp.empty_dataset(2), PseudoSchedule(tau0=0.01), unit_symmetric(2), rng
-            )

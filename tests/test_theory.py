@@ -171,6 +171,11 @@ class TestMeanErrorEnvelope:
         with pytest.raises(ValueError, match="needs tau > 0 and n_pseudo > 0"):
             check_mean_error_envelope(instance, trials=5, theory=TheoryParams())
 
+    def test_zero_trials_rejected(self):
+        instance = TheoryInstance(dimension=1, n_base=4, n_pseudo=2, tau=0.05, noise_variance=1e-2)
+        with pytest.raises(ValueError, match="needs at least 1 trial, got 0"):
+            check_mean_error_envelope(instance, trials=0, theory=TheoryParams())
+
     def test_exceedance_under_threshold(self):
         report = check_mean_error_envelope(
             TheoryInstance(dimension=1, n_base=4, n_pseudo=2, tau=0.05,
