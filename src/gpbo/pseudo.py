@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from . import gp
 from .domain import BoxDomain
@@ -174,7 +173,17 @@ def correction_terms(
     describe the augmented model: the variance reduction is measured from the
     base posterior at that jitter.
     """
+    p_mat, s_lower = _p_and_s_factor(model, pp, queries)
+    return p_mat, gp._cho_solve(s_lower, np.eye(len(pp))), s_lower
+
+
+def _p_and_s_factor(
+    model: GpModel, pp: PseudoPointSet, queries: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``correction_terms``'s P and S_factor, without forming M."""
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    if not np.isfinite(queries).all():
+        raise ValueError("queries must be finite")
     params = model.params
     half_base, s_lower, jitter = gp._schur_block(model, pp.points)
     base_factor = model.factor
@@ -184,28 +193,25 @@ def correction_terms(
         base_factor, half_base, s_lower = joint[:n, :n], joint[n:, :n].T, joint[n:, n:]
     cross_new = kernel_matrix(pp.points, queries, params)  # (l, m)
     if half_base is None:
-        p_mat = -cross_new
-    else:
-        cross_queries = kernel_matrix(model.data.points, queries, params)  # (t, m)
-        half_queries = solve_triangular(base_factor, cross_queries, lower=True)
-        p_mat = half_base.T @ half_queries - cross_new
-    m_mat = cho_solve((s_lower, True), np.eye(len(pp)))
-    return p_mat, m_mat, s_lower
+        return -cross_new, s_lower
+    cross_queries = kernel_matrix(model.data.points, queries, params)  # (t, m)
+    half_queries = gp._solve_triangular(base_factor, cross_queries, lower=True)
+    return half_base.T @ half_queries - cross_new, s_lower
 
 
 def variance_reduction(model: GpModel, pp: PseudoPointSet, x: np.ndarray) -> float | np.ndarray:
     """Exact drop in posterior variance caused by the pseudo rows.
 
     ``x`` is one point (d,), giving a float, or rows (m, d), giving an (m,)
-    array from one ``correction_terms`` call.  Computed as p(x)^T M p(x)
-    through a triangular solve, so each result is a sum of squares and
-    cannot go negative.
+    array.  Computed as p(x)^T M p(x) through a triangular solve on the
+    factor of S, so M is never formed, and each result is a sum of squares
+    and cannot go negative.
     """
     x = np.asarray(x, dtype=float)
     if len(pp) == 0:
         return 0.0 if x.ndim == 1 else np.zeros(x.shape[0])
-    p_mat, _, s_lower = correction_terms(model, pp, x)
-    half = solve_triangular(s_lower, p_mat, lower=True)
+    p_mat, s_lower = _p_and_s_factor(model, pp, x)
+    half = gp._solve_triangular(s_lower, p_mat, lower=True)
     if x.ndim == 1:
         return float(half[:, 0] @ half[:, 0])
     return np.einsum("ij,ij->j", half, half)
@@ -227,6 +233,8 @@ def mean_shift(
     true_values = np.asarray(true_values, dtype=float).reshape(-1)
     if true_values.shape[0] != len(pp_hat):
         raise ValueError("true_values must have one entry per pseudo-point")
+    if not np.isfinite(true_values).all():
+        raise ValueError("true_values must be finite")
     if len(pp_hat) == 0:
         return 0.0 if x.ndim == 1 else np.zeros(x.shape[0])
     p_mat, m_mat, _ = correction_terms(model, pp_hat, x)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import cholesky, solve_triangular
+from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import minimize as scipy_minimize
 
 from gpbo import gp
@@ -209,6 +209,92 @@ class TestPosterior:
         p = random_params(rng, 2)
         model = gp.build_model(random_dataset(rng, 10, 2), p)
         assert reconstruction_error(model) < 1e-10
+
+
+def triangular_system(seed, n, nrhs, layout):
+    """A random n x n matrix with a dominant diagonal, stored C-ordered,
+    F-ordered or as a non-contiguous view, and a right-hand side that is 1-D
+    for ``nrhs`` None and (n, nrhs) otherwise.  Both triangles are filled,
+    so a solve that read the wrong one would show."""
+    rng = np.random.default_rng(seed)
+    big = rng.uniform(-1.0, 1.0, (n + 3, n + 3))
+    big[np.arange(n + 3), np.arange(n + 3)] += np.where(rng.random(n + 3) < 0.5, -1.0, 1.0) * n
+    if layout == "view":
+        a = big[1 : n + 1, 1 : n + 1]
+    else:
+        a = np.asarray(big[:n, :n], order=layout)
+    b = rng.normal(size=n if nrhs is None else (n, nrhs))
+    return a, b
+
+
+def raised(fn, *args, **kwargs):
+    try:
+        fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+    return None
+
+
+class TestLapackSolves:
+    """gp's direct LAPACK calls against the scipy wrappers they stand in for."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        nrhs=st.one_of(st.none(), st.integers(0, 5)),
+        layout=st.sampled_from(["C", "F", "view"]),
+        lower=st.booleans(),
+    )
+    def test_triangular_solve_has_scipys_bits(self, seed, n, nrhs, layout, lower):
+        a, b = triangular_system(seed, n, nrhs, layout)
+        got = gp._solve_triangular(a, b, lower=lower)
+        want = solve_triangular(a, b, lower=lower)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 60),
+        nrhs=st.one_of(st.none(), st.integers(1, 3)),
+        layout=st.sampled_from(["C", "F", "view"]),
+        lower=st.booleans(),
+        fault=st.sampled_from(["singular", "nan in a", "inf in a", "nan in b", "-inf in b"]),
+    )
+    def test_triangular_solve_raises_what_scipy_raises(self, seed, n, nrhs, layout, lower, fault):
+        a, b = triangular_system(seed, n, nrhs, layout)
+        k = seed % n
+        if fault == "singular":
+            a[k, k] = 0.0
+        elif fault.endswith("in a"):
+            a[k, (k + 1) % n] = float(fault.split()[0])
+        else:
+            b.reshape(n, -1)[k, 0] = float(fault.split()[0])
+        want = raised(solve_triangular, a, b, lower=lower)
+        assert want is not None
+        assert raised(gp._solve_triangular, a, b, lower=lower) is want
+
+    def test_singular_diagonal_is_a_linalg_error(self):
+        a = np.tril(np.ones((3, 3)))
+        a[1, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            gp._solve_triangular(a, np.ones(3), lower=True)
+        # As in scipy, an empty right-hand side is answered before the solve.
+        assert gp._solve_triangular(a, np.empty((3, 0)), lower=True).shape == (3, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), view=st.booleans())
+    def test_cholesky_inverse_has_scipys_bits(self, seed, n, view):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-1.0, 1.0, (n + 2, 2))
+        gram = gp.kernel_matrix(points, points, random_params(rng, 2))
+        gram.flat[:: n + 3] += 1e-3
+        factor, _ = gp._chol_with_jitter(gram)
+        # The closed forms invert a trailing block of a joint factor as well.
+        lower = factor[2:, 2:] if view else gp._chol_with_jitter(gram[2:, 2:])[0]
+        got = gp._cho_solve(lower, np.eye(n))
+        assert got.tobytes() == cho_solve((lower, True), np.eye(n)).tobytes()
 
 
 class TestAugment:
@@ -567,6 +653,16 @@ class TestValidation:
     def test_dataset_length_mismatch(self):
         with pytest.raises(ValueError):
             Dataset(np.zeros((3, 2)), [1.0, 2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_non_finite_query_rejected(self, bad, n):
+        rng = np.random.default_rng(3)
+        model = gp.build_model(random_dataset(rng, n, 2), random_params(rng, 2))
+        with pytest.raises(ValueError, match="finite"):
+            gp.predict(model, np.array([[0.1, 0.2], [bad, 0.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            gp.posterior(model, np.array([0.0, bad]))
 
     def test_dataset_rejects_non_finite(self):
         with pytest.raises(ValueError):

@@ -116,6 +116,27 @@ def test_one_lbfgsb_driver():
                     assert path.name == "gp.py", f"{path.name} touches {name}"
 
 
+def test_one_home_for_lapack():
+    # The model path's solves call LAPACK through gp's helpers: only gp
+    # imports from scipy.linalg, and no module takes scipy's solve_triangular
+    # or cho_solve wrappers.
+    for path in sorted(SOURCE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            names = []
+            if isinstance(node, ast.ImportFrom) and node.module:
+                names = [node.module, *(f"{node.module}.{alias.name}" for alias in node.names)]
+            elif isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [dotted(node) or ""]
+            for name in names:
+                parts = name.split(".")
+                taken = {"solve_triangular", "cho_solve"} & set(parts)
+                assert not taken, f"{path.name} takes {name}"
+                if parts[:2] == ["scipy", "linalg"]:
+                    assert path.name == "gp.py", f"{path.name} imports {name}"
+
+
 def test_lbfgsb_core_signature():
     # gp.minimize passes setulb's arguments by position, as scipy's own
     # L-BFGS-B loop does since the core was ported to C in scipy 1.15.

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from gpbo import gp, pseudo
 from gpbo.domain import BoxDomain, unit_symmetric
@@ -326,6 +327,43 @@ class TestVarianceReduction:
         np.testing.assert_allclose(reduction, var_base - var_augmented, rtol=1e-3)
         assert np.all(reduction > 0.0)
 
+    def test_same_bits_as_the_solve_against_correction_terms(self):
+        # variance_reduction skips M but must give the bits of the triangular
+        # solve on correction_terms' own P and S factor, the jittered joint
+        # factor's blocks included.
+        rng = np.random.default_rng(30)
+        cases = []
+        for _ in range(20):
+            n, d = int(rng.integers(1, 13)), int(rng.integers(1, 4))
+            model, data = make_model(rng, n=n, d=d, noise=float(rng.uniform(1e-4, 1e-1)))
+            cases.append((model, generated(rng, data, tau0=float(rng.uniform(0.005, 0.08)))))
+        params = KernelParams(lengthscales=np.array([0.5]), amplitude=1.0, noise_variance=1e-17)
+        cases.append((gp.build_model(Dataset(np.array([[0.3], [0.9]]), [0.1, 0.4]), params),
+                      PseudoPointSet(np.array([[0.3]]), np.array([0.1]), np.array([0]), 0.0)))
+        assert pseudo.augmented_model(*cases[-1]).jitter > 0.0
+        for model, pp in cases:
+            d = model.data.dimension
+            queries = rng.uniform(-1, 1, (5, d))
+            p_mat, _, s_lower = pseudo.correction_terms(model, pp, queries)
+            half = solve_triangular(s_lower, p_mat, lower=True)
+            expected = np.einsum("ij,ij->j", half, half)
+            assert pseudo.variance_reduction(model, pp, queries).tobytes() == expected.tobytes()
+            p_one, _, _ = pseudo.correction_terms(model, pp, queries[0])
+            half = solve_triangular(s_lower, p_one, lower=True)
+            single = pseudo.variance_reduction(model, pp, queries[0])
+            assert single == float(half[:, 0] @ half[:, 0])
+
+    @pytest.mark.parametrize("n", [0, 4])
+    def test_non_finite_query_rejected(self, n):
+        rng = np.random.default_rng(31)
+        model, _ = make_model(rng, n=n)
+        pp = PseudoPointSet(np.array([[0.1, 0.2]]), np.array([0.5]), np.array([0]), 0.01)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                pseudo.variance_reduction(model, pp, np.array([bad, 0.0]))
+            with pytest.raises(ValueError, match="finite"):
+                pseudo.mean_shift(model, pp, [0.0], np.array([[0.0, 0.0], [0.0, bad]]))
+
     def test_reduction_plus_augmented_equals_base(self):
         rng = np.random.default_rng(18)
         model, data = make_model(rng, n=7)
@@ -420,6 +458,17 @@ class TestMeanShift:
         pp = generated(rng, data)
         with pytest.raises(ValueError):
             pseudo.mean_shift(model, pp, np.zeros(len(pp) + 1), np.zeros(2))
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_true_values_rejected(self, bad):
+        rng = np.random.default_rng(25)
+        model, data = make_model(rng)
+        pp = generated(rng, data)
+        true_values = pp.values.copy()
+        true_values[-1] = bad
+        with pytest.raises(ValueError, match="true_values must be finite"):
+            pseudo.mean_shift(model, pp, true_values, np.zeros(2))
 
 
 class TestBatchedCorrections:
