@@ -77,9 +77,9 @@ class Dataset:
         obs = np.asarray(self.observations, dtype=float).reshape(-1)
         if obs.shape[0] != pts.shape[0]:
             raise ValueError("points and observations must have equal length")
-        if pts.size and not np.all(np.isfinite(pts)):
+        if pts.size and not np.isfinite(pts).all():
             raise ValueError("points must be finite")
-        if obs.size and not np.all(np.isfinite(obs)):
+        if obs.size and not np.isfinite(obs).all():
             raise ValueError("observations must be finite")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "observations", obs)
@@ -215,20 +215,12 @@ class GpModel:
 
 
 def build_model(data: Dataset, params: KernelParams) -> GpModel:
-    """Factorize the training covariance and solve for the weight vector.
+    """``augment`` of the prior, the model on no data, by ``data``'s rows.
 
     An empty dataset is allowed and yields the prior.
     """
-    if len(data) == 0:
-        return GpModel(params, data, None, np.empty(0), 0.0)
-    if data.dimension != params.dimension:
-        raise ValueError("dataset dimension does not match kernel lengthscales")
-    gram = kernel_matrix(data.points, data.points, params)
-    gram.flat[:: len(data) + 1] += params.noise_variance
-    factor, jitter = _chol_with_jitter(gram)
-    w = _solve_triangular(factor, data.observations, lower=True)
-    w = _solve_triangular(factor.T, w, lower=False)
-    return GpModel(params, data, factor, w, jitter)
+    prior = GpModel(params, empty_dataset(params.dimension), None, np.empty(0))
+    return augment(prior, data)
 
 
 def _forward_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -278,52 +270,50 @@ def posterior(model: GpModel, x: np.ndarray) -> tuple[float, float]:
     return float(mean[0]), float(var[0])
 
 
-def _schur_block(model: GpModel, points: np.ndarray) -> tuple[np.ndarray | None, np.ndarray, float]:
-    """The block update adding rows at ``points`` to ``model``'s factor:
-    ``half = L11^-1 k(base, points)`` (None for an empty model), and the lower
-    factor of the new rows' noisy covariance minus ``half.T @ half``, with its jitter."""
-    params = model.params
+def _augmented_factor(model: GpModel, points: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor, and its jitter, of ``model``'s noisy covariance
+    with rows at ``points`` added: the block update ``[[L11, 0], [H^T, L22]]``
+    at the base jitter, or L22 alone for an empty model.  When L22 needs more
+    jitter, the joint rows are factorized afresh and that factor is returned
+    as LAPACK wrote it, since the solves' bits depend on its memory order.
+    """
+    params, n = model.params, len(model)
     corner = kernel_matrix(points, points, params)
     corner.flat[:: len(points) + 1] += params.noise_variance + model.jitter
-    if len(model) == 0:
-        return None, *_chol_with_jitter(corner)
+    if n == 0:
+        return _chol_with_jitter(corner)
     cross = kernel_matrix(model.data.points, points, params)
     half = _solve_triangular(model.factor, cross, lower=True)
-    return half, *_chol_with_jitter(corner - half.T @ half)
+    l22, jitter = _chol_with_jitter(corner - half.T @ half)
+    if jitter > 0.0:
+        prior = GpModel(params, empty_dataset(params.dimension), None, np.empty(0))
+        return _augmented_factor(prior, np.vstack([model.data.points, points]))
+    factor = np.zeros((n + len(points), n + len(points)))
+    factor[:n, :n] = model.factor
+    factor[n:, :n] = half.T
+    factor[n:, n:] = l22
+    return factor, model.jitter
 
 
 def augment(model: GpModel, extra: Dataset) -> GpModel:
-    """Add rows to a model by block-updating its Cholesky factor.
+    """Add rows to a model through ``_augmented_factor``.
 
     The result's posterior matches a from-scratch rebuild on the concatenated
-    data; the base factor is reused, only the new block is factorized.  When
-    the new block is not positive definite without extra jitter, the joint
-    data is factorized from scratch instead, so ``jitter`` stays exact.
+    data, and ``jitter`` records the jitter its factor carries on every row.
     """
     if len(extra) == 0:
         return model
-    if len(model) == 0:
-        return build_model(extra, model.params)
-    if extra.dimension != model.data.dimension:
-        raise ValueError("extra points have wrong dimension")
-    base = model.data
-    half, l22, jitter = _schur_block(model, extra.points)
-    joint = Dataset(
-        np.vstack([base.points, extra.points]),
-        np.concatenate([base.observations, extra.observations]),
+    if extra.dimension != model.params.dimension:
+        raise ValueError("dataset dimension does not match kernel lengthscales")
+    factor, jitter = _augmented_factor(model, extra.points)
+    # build_model's rows need no copy and no second check.
+    joint = extra if len(model) == 0 else Dataset(
+        np.vstack([model.data.points, extra.points]),
+        np.concatenate([model.data.observations, extra.observations]),
     )
-    if jitter > 0.0:
-        # The new block needs more jitter than the base factor carries; one
-        # factorization of the joint matrix records a single jitter for all rows.
-        return build_model(joint, model.params)
-    n_old = len(base)
-    factor = np.zeros((len(joint), len(joint)))
-    factor[:n_old, :n_old] = model.factor
-    factor[n_old:, :n_old] = half.T
-    factor[n_old:, n_old:] = l22
     w = _solve_triangular(factor, joint.observations, lower=True)
     w = _solve_triangular(factor.T, w, lower=False)
-    return GpModel(model.params, joint, factor, w, model.jitter)
+    return GpModel(model.params, joint, factor, w, jitter)
 
 
 @dataclass(frozen=True)

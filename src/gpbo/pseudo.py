@@ -162,16 +162,15 @@ def correction_terms(
     ``P[:, q]`` is the vector p(x_q) = Ktilde^T A^-1 k_t(x_q) - k'(x_q) with
     A the base training matrix; ``M`` is the inverse of
     S = K' + noise*I - Ktilde^T A^-1 Ktilde (the augmented-block capacitance);
-    ``S_factor`` is the lower Cholesky factor of S from ``gp.augment``'s own
-    block update.  All products go through triangular solves on the stored
-    factors.
+    ``S_factor`` is the lower Cholesky factor of S.  All three come from the
+    blocks [[L11, 0], [H^T, L22]] of the augmented model's own factor,
+    ``gp._augmented_factor``: A's factor is L11, and ``S_factor`` is L22.
 
-    When S needs jitter from the ladder, ``gp.augment`` factorizes the joint
-    matrix afresh, with that factorization's jitter on every row.  The terms
-    then come from the blocks of that joint factor, so A and S above carry
-    the joint jitter, and ``mean_shift`` and ``variance_reduction`` still
-    describe the augmented model: the variance reduction is measured from the
-    base posterior at that jitter.
+    When S needs jitter from the ladder, that factor is a fresh factorization
+    of the joint matrix, with its jitter on every row.  A and S above then
+    carry the joint jitter, and ``mean_shift`` and ``variance_reduction``
+    still describe the augmented model: the variance reduction is measured
+    from the base posterior at that jitter.  Only this function forms M.
     """
     p_mat, s_lower = _p_and_s_factor(model, pp, queries)
     return p_mat, gp._cho_solve(s_lower, np.eye(len(pp))), s_lower
@@ -180,41 +179,37 @@ def correction_terms(
 def _p_and_s_factor(
     model: GpModel, pp: PseudoPointSet, queries: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``correction_terms``'s P and S_factor, without forming M."""
+    """``correction_terms``'s P and S_factor, without forming M.  A column of
+    P has the same bits alone as in a batch, as in ``gp.predict``."""
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if not np.isfinite(queries).all():
         raise ValueError("queries must be finite")
-    params = model.params
-    half_base, s_lower, jitter = gp._schur_block(model, pp.points)
-    base_factor = model.factor
-    if jitter > 0.0 and half_base is not None:
-        joint = augmented_model(model, pp).factor
-        n = len(model)
-        base_factor, half_base, s_lower = joint[:n, :n], joint[n:, :n].T, joint[n:, n:]
-    cross_new = kernel_matrix(pp.points, queries, params)  # (l, m)
-    if half_base is None:
-        return -cross_new, s_lower
-    cross_queries = kernel_matrix(model.data.points, queries, params)  # (t, m)
-    half_queries = gp._solve_triangular(base_factor, cross_queries, lower=True)
-    return half_base.T @ half_queries - cross_new, s_lower
+    n = len(model)
+    factor, _ = gp._augmented_factor(model, pp.points)
+    cross_new = kernel_matrix(pp.points, queries, model.params)  # (l, m)
+    if n == 0:
+        return -cross_new, factor
+    cross_queries = kernel_matrix(model.data.points, queries, model.params)  # (t, m)
+    half_queries = gp._forward_solve(factor[:n, :n], cross_queries)
+    projected = np.cumsum(factor[n:, :n, None] * half_queries, axis=1)[:, -1]
+    return projected - cross_new, factor[n:, n:]
 
 
 def variance_reduction(model: GpModel, pp: PseudoPointSet, x: np.ndarray) -> float | np.ndarray:
     """Exact drop in posterior variance caused by the pseudo rows.
 
     ``x`` is one point (d,), giving a float, or rows (m, d), giving an (m,)
-    array.  Computed as p(x)^T M p(x) through a triangular solve on the
-    factor of S, so M is never formed, and each result is a sum of squares
-    and cannot go negative.
+    array; a point gives the same bits alone as in a batch.  Computed as
+    p(x)^T M p(x) through a triangular solve on the factor of S, so M is
+    never formed, and each result is a sum of squares and cannot go negative.
     """
     x = np.asarray(x, dtype=float)
     if len(pp) == 0:
         return 0.0 if x.ndim == 1 else np.zeros(x.shape[0])
     p_mat, s_lower = _p_and_s_factor(model, pp, x)
-    half = gp._solve_triangular(s_lower, p_mat, lower=True)
-    if x.ndim == 1:
-        return float(half[:, 0] @ half[:, 0])
-    return np.einsum("ij,ij->j", half, half)
+    half = gp._forward_solve(s_lower, p_mat)
+    reduction = np.cumsum(half * half, axis=0)[-1]
+    return float(reduction[0]) if x.ndim == 1 else reduction
 
 
 def mean_shift(
@@ -225,9 +220,10 @@ def mean_shift(
 ) -> float | np.ndarray:
     """Difference in augmented posterior mean: borrowed values minus true values.
 
-    Evaluates -p(x)^T M (values_hat - values_true); it equals the difference
-    of the two explicitly augmented posterior means.  ``x`` is one point
-    (d,), giving a float, or rows (m, d), giving an (m,) array.
+    Evaluates -p(x)^T M (values_hat - values_true), M applied by a solve; it
+    equals the difference of the two explicitly augmented posterior means.
+    ``x`` is one point (d,), giving a float, or rows (m, d), giving an (m,)
+    array; a point gives the same bits alone as in a batch.
     """
     x = np.asarray(x, dtype=float)
     true_values = np.asarray(true_values, dtype=float).reshape(-1)
@@ -237,6 +233,7 @@ def mean_shift(
         raise ValueError("true_values must be finite")
     if len(pp_hat) == 0:
         return 0.0 if x.ndim == 1 else np.zeros(x.shape[0])
-    p_mat, m_mat, _ = correction_terms(model, pp_hat, x)
-    shift = -(p_mat.T @ (m_mat @ (pp_hat.values - true_values)))
+    p_mat, s_lower = _p_and_s_factor(model, pp_hat, x)
+    weights = gp._cho_solve(s_lower, pp_hat.values - true_values)
+    shift = -np.cumsum(p_mat * weights[:, None], axis=0)[-1]
     return float(shift[0]) if x.ndim == 1 else shift

@@ -354,7 +354,11 @@ class TestAugment:
         aug = gp.augment(model, Dataset(x, [0.1]))
         assert aug.jitter > 0.0
         assert reconstruction_error(aug) <= 1e-14
-        assert aug.jitter == gp.build_model(aug.data, p).jitter
+        # The joint rows are factorized afresh, as build_model factorizes them.
+        scratch = gp.build_model(aug.data, p)
+        assert aug.jitter == scratch.jitter
+        assert aug.factor.tobytes() == scratch.factor.tobytes()
+        assert aug.weight_vector.tobytes() == scratch.weight_vector.tobytes()
 
 
 class TestLogLikelihood:

@@ -88,6 +88,20 @@ def test_one_block_update():
             assert named != "_chol_with_jitter", f"{path.name} factorizes a block itself"
 
 
+def test_one_factorization_path():
+    # gp._augmented_factor builds the factor of every model, and the likelihood
+    # factorizes its Gram matrix: nothing else calls _chol_with_jitter.
+    callers = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                named = getattr(func, "id", None) or getattr(func, "attr", None)
+                if isinstance(node, ast.Call) and named == "_chol_with_jitter":
+                    callers.add((path.name, getattr(top, "name", None)))
+    assert callers == {("gp.py", "_augmented_factor"), ("gp.py", "_nll_and_grad")}
+
+
 def dotted(node):
     """``a.b.c`` for a chain of attribute reads on a name, else None."""
     parts = []

@@ -10,7 +10,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
 
 from gpbo import gp, pseudo
 from gpbo.domain import BoxDomain, unit_symmetric
@@ -287,7 +286,7 @@ class TestVarianceReduction:
                 assert closed == pytest.approx(base_var - aug_var, abs=1e-8)
                 assert closed >= 0.0
 
-    def test_schur_block_gets_the_jitter_ladder(self):
+    def test_closed_form_gets_the_jitter_ladder(self):
         # Noise so small that 1 + noise rounds to 1: a pseudo-point on the
         # observed point makes the Schur block singular.  The augmented model
         # builds with jitter, and the closed form must take the same ladder.
@@ -327,10 +326,10 @@ class TestVarianceReduction:
         np.testing.assert_allclose(reduction, var_base - var_augmented, rtol=1e-3)
         assert np.all(reduction > 0.0)
 
-    def test_same_bits_as_the_solve_against_correction_terms(self):
-        # variance_reduction skips M but must give the bits of the triangular
-        # solve on correction_terms' own P and S factor, the jittered joint
-        # factor's blocks included.
+    def test_a_point_has_the_same_bits_alone_and_in_a_batch(self):
+        # The closed forms sum sequentially per query, as gp.predict does, so
+        # a point's result does not depend on what else is queried with it,
+        # the jittered joint factor's blocks included.
         rng = np.random.default_rng(30)
         cases = []
         for _ in range(20):
@@ -344,14 +343,13 @@ class TestVarianceReduction:
         for model, pp in cases:
             d = model.data.dimension
             queries = rng.uniform(-1, 1, (5, d))
-            p_mat, _, s_lower = pseudo.correction_terms(model, pp, queries)
-            half = solve_triangular(s_lower, p_mat, lower=True)
-            expected = np.einsum("ij,ij->j", half, half)
-            assert pseudo.variance_reduction(model, pp, queries).tobytes() == expected.tobytes()
-            p_one, _, _ = pseudo.correction_terms(model, pp, queries[0])
-            half = solve_triangular(s_lower, p_one, lower=True)
-            single = pseudo.variance_reduction(model, pp, queries[0])
-            assert single == float(half[:, 0] @ half[:, 0])
+            true_vals = pp.values + rng.normal(0, 0.5, size=len(pp))
+            for closed in (lambda x: pseudo.variance_reduction(model, pp, x),
+                           lambda x: pseudo.mean_shift(model, pp, true_vals, x)):
+                batch = closed(queries)
+                assert closed(queries[::-1]).tobytes() == batch[::-1].tobytes()
+                assert closed(queries[:1]).tobytes() == batch[:1].tobytes()
+                assert np.float64(closed(queries[0])).tobytes() == batch[:1].tobytes()
 
     @pytest.mark.parametrize("n", [0, 4])
     def test_non_finite_query_rejected(self, n):
@@ -486,12 +484,10 @@ class TestBatchedCorrections:
             reduction = pseudo.variance_reduction(model, pp, queries)
             shift = pseudo.mean_shift(model, pp, true_vals, queries)
             assert reduction.shape == shift.shape == (len(queries),)
-            np.testing.assert_allclose(
-                reduction, [pseudo.variance_reduction(model, pp, x) for x in queries],
-                rtol=0, atol=1e-12)
-            np.testing.assert_allclose(
-                shift, [pseudo.mean_shift(model, pp, true_vals, x) for x in queries],
-                rtol=0, atol=1e-12)
+            singles = [pseudo.variance_reduction(model, pp, x) for x in queries]
+            assert reduction.tobytes() == np.array(singles).tobytes()
+            singles = [pseudo.mean_shift(model, pp, true_vals, x) for x in queries]
+            assert shift.tobytes() == np.array(singles).tobytes()
 
     def test_single_point_gives_float(self):
         rng = np.random.default_rng(27)
