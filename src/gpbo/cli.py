@@ -33,7 +33,6 @@ from . import theory
 from .acquisition import AcquisitionSpec
 from .domain import BoxDomain
 from .engine import RegretTrace, RunConfig, run_bo, run_bopp
-from .gp import FitConfig
 from .objectives import SYNTHETIC_NAMES, Objective, external_objective, make_synthetic
 from .pseudo import PseudoSchedule
 
@@ -128,7 +127,7 @@ class ExperimentConfig:
                 raise ValueError(f"algorithm name {name!r} is used more than once")
         # The per-run rules live on RunConfig; check them once here, before any run.
         RunConfig(budget=self.budget, initial_points=self.initial_points, delta=self.delta,
-                  noise_variance=self.noise_variance)
+                  noise_variance=self.noise_variance, seed=self.seed)
         if self.objective == "external":
             if self.external is None:
                 raise ValueError("external objective requires a command and bounds")
@@ -230,15 +229,7 @@ def _repeat_seed(base_seed: int, repeat: int) -> int:
 
 
 def _run_config(config: ExperimentConfig, algo: AlgorithmSpec, obj: Objective, repeat: int) -> RunConfig:
-    width = float(np.max(obj.domain.widths))
-    # Experiment preset: lengthscales live between 5% and 100% of the domain
-    # width. Shorter scales model observation noise, not structure; longer
-    # ones are indistinguishable from a trend but keep distorting the
-    # surrogate's peak location.
-    fit = FitConfig(
-        lengthscale_bounds=(0.05 * width, width),
-        lengthscale_sample_range=(0.05 * width, width),
-    )
+    # ``obj`` is not read: the run loop derives the fit box from its domain.
     return RunConfig(
         budget=config.budget,
         initial_points=config.initial_points,
@@ -248,7 +239,6 @@ def _run_config(config: ExperimentConfig, algo: AlgorithmSpec, obj: Objective, r
         pseudo=PseudoSchedule(tau0=algo.tau0),
         seed=_repeat_seed(config.seed, repeat),
         standardize=config.standardize,
-        fit=fit,
     )
 
 
@@ -463,7 +453,9 @@ def summarize(out_dir: str | Path) -> list[SummaryRow]:
 def verify(seed: int, instances: int, report_path: str | Path | None = None,
            envelope_trials: int = 200) -> tuple[int, list[theory.CheckReport]]:
     """Run the verification suite; exit status 0 iff everything passes."""
-    # Both counts are checked before the first check runs.
+    # The seed and both counts are checked before the first check runs.
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     if instances < 1:
         raise ValueError(f"instances must be at least 1, got {instances}")
     if envelope_trials < 1:

@@ -10,11 +10,13 @@ Randomness is split into four named substreams (initial design, observation
 noise, pseudo-point signs, fit restarts) derived from the run seed, so
 disabling pseudo-points reproduces the plain loop draw-for-draw.
 
-The hyper-parameters are refit before every selection.  While the data holds
-fewer than 10*d points, and on every 5th data size after that, the refit is
-the full multi-start search.  On the other sizes it is the warm search from
-the previous optimum alone (``n_starts=1``), which takes no draws from the
-fit substream.  Each likelihood evaluation costs O(n^3), so the cut pays most
+The hyper-parameters are refit before every selection, each lengthscale
+within 5-100 % of its coordinate's side of the domain: one fit preset for
+``gpbo run`` and library calls alike.  While the data holds fewer than 10*d
+points, and on every 5th data size after that, the refit is the full
+multi-start search.  On the other sizes it is the warm search from the
+previous optimum alone (``n_starts=1``), which takes no draws from the fit
+substream.  Each likelihood evaluation costs O(n^3), so the cut pays most
 late in a run.  The floor and the period are heuristics, not a property of
 the likelihood; their basis is paired regret runs at d = 2 (the criterion-5
 cells) and d = 6 (hart6 at budget 100), recorded in CHANGES.md.
@@ -25,7 +27,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -59,7 +61,8 @@ class RunConfig:
     With the fixed noise level this keeps the likelihood surface sane for
     objectives whose raw scale dwarfs the noise.  ``unit_amplitude`` pins the
     signal variance at one, which the bound evaluator requires, and is
-    mutually exclusive with ``standardize``.
+    mutually exclusive with ``standardize``.  The hyper-parameter fit has no
+    setting here: ``run_bopp`` derives its box from the objective's domain.
     """
 
     budget: int
@@ -71,11 +74,12 @@ class RunConfig:
     seed: int = 0
     standardize: bool = True
     unit_amplitude: bool = False
-    fit: FitConfig = field(default_factory=FitConfig)
 
     def __post_init__(self):
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.initial_points < 0:
             raise ValueError("initial_points must be non-negative")
         if not (0.0 < self.delta < 1.0):
@@ -162,7 +166,11 @@ def run_bopp(objective: Objective, config: RunConfig) -> RegretTrace:
     pseudo_rng = np.random.default_rng(pseudo_ss)
     fit_rng = np.random.default_rng(fit_ss)
     noise = NoiseModel(config.noise_variance, np.random.default_rng(noise_ss))
-    fit_config = replace(config.fit, fix_amplitude=config.fit.fix_amplitude or config.unit_amplitude)
+    # Lengthscales live between 5% and 100% of their coordinate's side. Shorter
+    # scales model observation noise, not structure; longer ones are
+    # indistinguishable from a trend but keep distorting the surrogate's peak.
+    widths = objective.domain.widths
+    fit_config = FitConfig(fix_amplitude=config.unit_amplitude, lengthscale_bounds=(0.05 * widths, widths))
     warm_config = replace(fit_config, n_starts=1)
     direct_config = direct.DirectConfig(max_evaluations=_DIRECT_EVALUATIONS_PER_DIM * d)
 

@@ -323,13 +323,19 @@ class FitConfig:
     The optimizer is a seeded multi-start L-BFGS search in log-parameter
     space; observation noise stays fixed.  ``fix_amplitude`` pins the signal
     variance at its initial value (used by the unit-amplitude mode of the run
-    loops).
+    loops).  ``lengthscale_bounds`` is the (low, high) box of the
+    lengthscales, each entry a scalar or one value per coordinate; the
+    restarts draw their log-lengthscales uniformly from the same box.
     """
 
     n_starts: int = 8
     fix_amplitude: bool = False
-    lengthscale_bounds: tuple[float, float] = (1e-3, 1e3)
-    lengthscale_sample_range: tuple[float, float] = (0.05, 2.0)
+    lengthscale_bounds: tuple = (0.05, 2.0)
+
+    def __post_init__(self):
+        low, high = (np.asarray(b, dtype=float) for b in self.lengthscale_bounds)
+        if not (np.all(low > 0) and np.all(low <= high) and np.all(np.isfinite(high))):
+            raise ValueError("lengthscale bounds must satisfy 0 < low <= high < inf")
 
 
 def _lik_stack(points: np.ndarray) -> np.ndarray:
@@ -496,17 +502,17 @@ def fit(data: Dataset, init: KernelParams, config: FitConfig = FitConfig(),
     stack = _lik_stack(data.points)
     rng = rng if rng is not None else np.random.default_rng(0)
 
-    bounds = [tuple(np.log(config.lengthscale_bounds))] * d
+    log_lo, log_hi = (np.log(np.full(d, b, dtype=float)) for b in config.lengthscale_bounds)
+    bounds = list(zip(log_lo, log_hi))
     if not config.fix_amplitude:
         bounds.append(tuple(np.log(_AMPLITUDE_BOUNDS)))
 
-    lo_ls, hi_ls = config.lengthscale_sample_range
     var_y = float(np.var(y))
     amp_center = max(var_y, 1e-8)
 
     starts = [_pack(init, config)]
     for _ in range(max(config.n_starts - 1, 0)):
-        draw = [rng.uniform(math.log(lo_ls), math.log(hi_ls), size=d)]
+        draw = [rng.uniform(log_lo, log_hi, size=d)]
         if not config.fix_amplitude:
             draw.append(rng.uniform(math.log(amp_center) - math.log(10), math.log(amp_center) + math.log(10), size=1))
         starts.append(np.concatenate(draw))

@@ -13,7 +13,9 @@ from gpbo.cli import (
     AlgorithmSpec, ExperimentConfig, ExternalSpec, config_from_dict, run_experiment, summarize,
 )
 from gpbo.domain import unit_symmetric
-from gpbo.objectives import Objective
+from gpbo.engine import RunConfig, run_bopp
+from gpbo.objectives import Objective, make_synthetic
+from gpbo.pseudo import PseudoSchedule
 
 
 # The README's example configs, and what ``gpbo run`` echoes with no config.
@@ -141,6 +143,27 @@ class TestRunExperiment:
         assert (Path(c1.out_dir) / "init.csv").read_text() == (
             Path(c2.out_dir) / "init.csv"
         ).read_text()
+
+    @pytest.mark.parametrize("objective, label", [("dropwave", "ucb-pp0001"), ("hart6", "ucb")])
+    def test_library_call_runs_the_same_preset(self, tmp_path, objective, label):
+        """A direct run_bopp call with the same fields gives the CLI run's bits."""
+        algo = AlgorithmSpec.parse(label)
+        config = tiny_config(tmp_path, objective=objective, algorithms=(algo,), budget=4)
+        run_config = RunConfig(
+            budget=config.budget,
+            initial_points=config.initial_points,
+            acquisition_kind=algo.acquisition,
+            delta=config.delta,
+            noise_variance=config.noise_variance,
+            pseudo=PseudoSchedule(tau0=algo.tau0),
+            seed=cli._repeat_seed(config.seed, 0),
+            standardize=config.standardize,
+        )
+        by_cli = cli._one_run(config, algo, 0).payload()
+        direct = run_bopp(make_synthetic(objective), run_config).payload()
+        assert by_cli.keys() == direct.keys()
+        for key in by_cli:
+            assert np.array_equal(by_cli[key], direct[key], equal_nan=True), key
 
     def test_failures_recorded_and_nonzero_exit(self, tmp_path, monkeypatch):
         calls = {"n": 0}
@@ -315,7 +338,8 @@ class TestVerifyCommand:
     @pytest.mark.parametrize("counts, message", [
         (dict(instances=-3), "instances must be at least 1, got -3"),
         (dict(envelope_trials=0), "envelope_trials must be at least 1, got 0"),
-    ], ids=["instances", "envelope-trials"])
+        (dict(seed=-1), "seed must be non-negative, got -1"),
+    ], ids=["instances", "envelope-trials", "seed-negative"])
     def test_bad_counts_rejected_before_any_check(self, monkeypatch, counts, message):
         from gpbo import theory
 
@@ -450,6 +474,7 @@ class TestMainEntry:
         ({"objective": "external",
           "external": {"command": "echo 1", "lower": [0], "upper": ["1"]}},
          r"external key 'upper' must be a list of numbers, got \['1'\]"),
+        ({"seed": -1}, "seed must be non-negative, got -1"),
     ], ids=["external-bounds", "acquisition-missing", "acquisition-unknown", "tau0-negative",
             "budget-type", "objective-unknown", "external-block-missing", "bool-from-string",
             "bool-from-int", "int-from-bool", "float-from-bool", "algorithm-float-from-bool",
@@ -459,7 +484,7 @@ class TestMainEntry:
             "jobs-zero", "algorithm-name-duplicate", "algorithms-number", "algorithms-string",
             "algorithm-entry-number", "objective-number", "algorithm-name-number", "out-dir-number", "external-list",
             "external-command-empty", "external-command-number", "external-lower-number",
-            "external-upper-strings"])
+            "external-upper-strings", "seed-negative"])
     def test_run_rejects_malformed_config(self, tmp_path, block, message):
         config_path = tmp_path / "exp.json"
         config_path.write_text(json.dumps({"budget": 3, "repeats": 1, **block}))

@@ -8,7 +8,8 @@ import pytest
 
 from gpbo import direct, engine, gp, pseudo
 from gpbo.engine import RegretTrace, RunConfig, run_bo, run_bopp
-from gpbo.objectives import make_synthetic
+from gpbo.domain import BoxDomain
+from gpbo.objectives import Objective, make_synthetic
 from gpbo.pseudo import PseudoSchedule
 from gpbo.theory import TheoryParams, evaluate_regret_bound, mean_error_bound
 
@@ -190,9 +191,26 @@ class TestRunBopp:
         cfg = fast_config(budget=budget, initial_points=initial_points)
         run_bo(make_synthetic("griewank"), cfg)
         sizes = initial_points + np.arange(budget)
-        full = cfg.fit.n_starts
+        full = gp.FitConfig().n_starts
         assert full > 1
         assert seen == [(n, full if n < 20 or n % 5 == 0 else 1) for n in sizes]
+
+    def test_each_coordinate_gets_its_own_lengthscale_box(self, monkeypatch):
+        """On [0, 1] x [0, 100], coordinate j's lengthscales lie in 5-100 % of its side."""
+        domain = BoxDomain(np.zeros(2), np.array([1.0, 100.0]))
+        obj = Objective("plane", domain, lambda x: -np.sum((x - domain.center) ** 2, axis=1))
+        boxes = []
+        original = gp.minimize
+
+        def recording_minimize(fun, x0, args, bounds, max_iter, known=None):
+            boxes.append(np.exp(np.array(bounds, dtype=float)[:2]))
+            return original(fun, x0, args, bounds, max_iter, known)
+
+        monkeypatch.setattr(gp, "minimize", recording_minimize)
+        run_bo(obj, fast_config(budget=2))
+        assert boxes
+        for box in boxes:
+            np.testing.assert_allclose(box, [[0.05, 1.0], [5.0, 100.0]], rtol=1e-12)
 
     def test_first_fit_unaffected_by_pseudo_values(self, monkeypatch):
         """Given the same true data, perturbed pseudo values leave the fit alone."""

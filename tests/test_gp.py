@@ -572,6 +572,27 @@ class TestFit:
         assert len(searched) == 3
         assert len(at_init) == 1 + sum(searched)
 
+    def test_lengthscale_bounds_broadcast_per_coordinate(self, monkeypatch):
+        """Scalar bounds and equal per-coordinate bounds give the same bits, and
+        per-coordinate bounds hold each lengthscale in its own box."""
+        monkeypatch.setattr(gp, "_FIT_MAX_ITER", 10)
+        data = random_dataset(np.random.default_rng(6), 10, 2)
+        init = KernelParams(lengthscales=np.array([0.5, 0.5]))
+        scalar = gp.fit(data, init, FitConfig(n_starts=3, lengthscale_bounds=(0.1, 2.0)))
+        arrays = gp.fit(data, init, FitConfig(n_starts=3, lengthscale_bounds=(np.full(2, 0.1), np.full(2, 2.0))))
+        np.testing.assert_array_equal(scalar.lengthscales, arrays.lengthscales)
+        assert scalar.amplitude == arrays.amplitude
+        low, high = np.array([0.6, 0.01]), np.array([2.0, 0.05])
+        boxed = gp.fit(data, init, FitConfig(n_starts=3, lengthscale_bounds=(low, high)))
+        assert np.all((boxed.lengthscales >= low * (1 - 1e-12)) & (boxed.lengthscales <= high * (1 + 1e-12)))
+
+    @pytest.mark.parametrize("bounds", [(0.0, 1.0), (2.0, 1.0), (0.1, math.inf),
+                                        (np.array([0.1, 0.2]), np.array([1.0, 0.1]))],
+                             ids=["zero-low", "reversed", "infinite-high", "reversed-coordinate"])
+    def test_bad_lengthscale_bounds_rejected(self, bounds):
+        with pytest.raises(ValueError, match="lengthscale bounds must satisfy 0 < low <= high < inf"):
+            FitConfig(lengthscale_bounds=bounds)
+
     def test_noise_held_fixed_by_default(self, monkeypatch):
         monkeypatch.setattr(gp, "_FIT_MAX_ITER", 10)
         rng = np.random.default_rng(21)

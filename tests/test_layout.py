@@ -102,6 +102,25 @@ def test_one_factorization_path():
     assert callers == {("gp.py", "_augmented_factor"), ("gp.py", "_nll_and_grad")}
 
 
+def test_one_fit_preset():
+    # run_bopp builds each run's FitConfig from its domain; besides it, only
+    # gp.fit's default argument constructs one.
+    builders = []
+    for path in sorted(SOURCE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            defaults = set()
+            if isinstance(top, ast.FunctionDef):
+                args = top.args.defaults + [d for d in top.args.kw_defaults if d is not None]
+                defaults = {id(node) for arg in args for node in ast.walk(arg)}
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                named = getattr(func, "id", None) or getattr(func, "attr", None)
+                if isinstance(node, ast.Call) and named == "FitConfig":
+                    where = "default" if id(node) in defaults else "body"
+                    builders.append((path.name, getattr(top, "name", None), where))
+    assert sorted(builders) == [("engine.py", "run_bopp", "body"), ("gp.py", "fit", "default")]
+
+
 def dotted(node):
     """``a.b.c`` for a chain of attribute reads on a name, else None."""
     parts = []
@@ -164,8 +183,8 @@ def test_lbfgsb_core_signature():
 # A knob or field joins these only with a shipped caller.
 PINNED_FIELDS = {
     "RunConfig": ["budget", "initial_points", "acquisition_kind", "delta", "noise_variance",
-                  "pseudo", "seed", "standardize", "unit_amplitude", "fit"],
-    "FitConfig": ["n_starts", "fix_amplitude", "lengthscale_bounds", "lengthscale_sample_range"],
+                  "pseudo", "seed", "standardize", "unit_amplitude"],
+    "FitConfig": ["n_starts", "fix_amplitude", "lengthscale_bounds"],
     "DirectConfig": ["max_evaluations"],
     "GpModel": ["params", "data", "factor", "weight_vector", "jitter"],
     "PseudoPointSet": ["points", "values", "parent_index", "tau"],
