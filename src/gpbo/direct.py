@@ -13,7 +13,10 @@ sorted levels, and with them its half diagonal, are therefore fixed by its
 total cut count alone, and the half diagonal strictly falls as that count
 grows.  The search keeps one heap of (value, index) per cut count, so an
 iteration reads the best rectangle of every size off the heap tops instead
-of re-sorting all rectangles.  Sample positions depend only on rectangle
+of re-sorting all rectangles.  A selected rectangle leaves its heap before it
+is split, so every heap entry is current.  One monotone-chain pass over the
+tops drops each top that lies above a chord of two others; only the rest get
+the full hull and epsilon test.  Sample positions depend only on rectangle
 geometry, so all trisection samples of one iteration are scored in a single
 batched call.
 """
@@ -71,34 +74,78 @@ def _measure_of_cuts(dimension: int, cuts: int) -> float:
     return _measure(np.array([low] * (dimension - high) + [low + 1] * high))
 
 
+def _hull(measures: list[float], values: list[float]) -> list[int]:
+    """Positions of the potentially-optimal points of a non-empty (measure,
+    value) cloud given in strictly ascending measure: the points on its
+    lower-right convex hull that also pass the epsilon test, in that order."""
+    points = list(zip(measures, values))
+    # A monotone-chain pass drops point i only on a witness j < i < l with
+    # slope(i, j) > slope(i, l); then left >= slope(i, j) > slope(i, l) >= right
+    # below, so every dropped point fails the full test too.
+    chain = [(*points[0], 0, -math.inf)]  # (measure, value, position, slope to predecessor)
+    for l, (ml, vl) in enumerate(points[1:], 1):
+        mi, vi, _, to_left = chain[-1]
+        while (slope := (vi - vl) / (mi - ml)) < to_left:
+            chain.pop()
+            mi, vi, _, to_left = chain[-1]
+        chain.append((ml, vl, l, slope))
+    f_min = min(values)
+    selected = []
+    for mi, vi, i, _ in chain:
+        right = min([(vi - vj) / (mi - mj) for mj, vj in points[i + 1 :]] or [math.inf])
+        if f_min != 0.0:
+            ok = _EPSILON <= (f_min - vi) / abs(f_min) + mi * right / abs(f_min)
+        else:
+            ok = vi - mi * right <= 0.0
+        if not (ok or math.isinf(right)):
+            continue
+        left = max([(vi - vj) / (mi - mj) for mj, vj in points[:i]] or [-math.inf])
+        if left <= right:
+            selected.append(i)
+    return selected
+
+
 class _Search:
     """Mutable state of one maximization run (internally minimizes -f).
 
     Rectangles live in parallel lists; a rectangle's list index doubles as
-    the deterministic tie-breaker.  ``heaps[s]`` holds (value, index) of the
-    rectangles with ``s`` cuts in total.  Splitting moves a rectangle to a
-    higher count; its old entry is dropped once it reaches its heap's top.
+    the deterministic tie-breaker.  ``heaps[s]`` holds (value, index) of
+    exactly the rectangles with ``s`` cuts in total: a selected rectangle
+    leaves its heap before it is split and rejoins at its new count.
+    ``measures[s]`` is the half diagonal of ``s`` cuts and ``offsets[l]`` the
+    trisection offset of a rectangle whose shortest side is at level ``l``.
     """
 
     def __init__(self, objective, domain: BoxDomain, limit: int):
         self.objective = objective
-        self.domain = domain
+        self.lower, self.widths, self.dimension = domain.lower, domain.widths, domain.dimension
         self.limit = limit
         self.evaluations = 0
         self.best_value = math.inf  # minimization of the negated objective
         self.best_point = domain.center.copy()
-        center = [0.5] * domain.dimension
+        self.heaps, self.measures, self.offsets = [], [], []
+        self.add_count()
+        center = [0.5] * self.dimension
         value = self.evaluate(np.array([center])).tolist()[0]
-        self.centers, self.levels = [center], [[0] * domain.dimension]
+        self.centers, self.levels = [center], [[0] * self.dimension]
         self.values, self.cuts = [value], [0]
-        self.heaps = [[(value, 0)]]
+        self.heaps[0].append((value, 0))
+
+    def add_count(self) -> None:
+        """Open the heap of the next cut count, with its measure and, when the
+        count starts a new level, that level's trisection offset."""
+        s = len(self.heaps)
+        self.heaps.append([])
+        self.measures.append(_measure_of_cuts(self.dimension, s))
+        if s % self.dimension == 0:
+            self.offsets.append(3.0 ** (-(float(s // self.dimension) + 1.0)))
 
     def evaluate(self, units: np.ndarray) -> np.ndarray:
         """Negated objective values at rows of ``units``, in row order.
 
         The best point is updated by strict improvement in that order.
         """
-        points = self.domain.lower + units * self.domain.widths
+        points = self.lower + units * self.widths
         raw = np.asarray(self.objective(points), dtype=float)
         if raw.shape != (units.shape[0],):
             raise ValueError(
@@ -119,75 +166,55 @@ class _Search:
         return values
 
     def potentially_optimal(self) -> list[int]:
-        """Indices of rectangles on the lower-right convex hull of (size, value),
-        in ascending size."""
-        points, candidates = [], []  # (measure, value) of each size's best rectangle
-        for cuts, heap in reversed(list(enumerate(self.heaps))):
-            while heap and self.cuts[heap[0][1]] != cuts:
-                heapq.heappop(heap)
-            if heap:
-                points.append((_measure_of_cuts(self.domain.dimension, cuts), heap[0][0]))
-                candidates.append(heap[0][1])
-        # f_min is over rectangles; every rectangle sits in the heap of its count.
-        f_min = min(value for _, value in points)
-        # left is at least the slope to the left neighbour and right at most the
-        # one to the right neighbour, so where the first is larger, left > right.
-        edge = [(vi - vj) / (mi - mj) for (mi, vi), (mj, vj) in zip(points, points[1:])]
-        edge = [-math.inf, *edge, math.inf]
-        selected = []
-        for i, (mi, vi) in enumerate(points):
-            if edge[i] > edge[i + 1]:
-                continue
-            right = min([(vi - vj) / (mi - mj) for mj, vj in points[i + 1 :]] or [math.inf])
-            if f_min != 0.0:
-                ok = _EPSILON <= (f_min - vi) / abs(f_min) + mi * right / abs(f_min)
-            else:
-                ok = vi - mi * right <= 0.0
-            if not (ok or math.isinf(right)):
-                continue
-            left = max([(vi - vj) / (mi - mj) for mj, vj in points[:i]] or [-math.inf])
-            if left <= right:
-                selected.append(candidates[i])
-        return selected
+        """Pop the best rectangle of every size that lies on the lower-right
+        convex hull of (size, value); returns their indices in ascending size."""
+        heaps, measures = self.heaps, self.measures
+        counts = [s for s in range(len(heaps) - 1, -1, -1) if heaps[s]]
+        chosen = _hull([measures[s] for s in counts], [heaps[s][0][0] for s in counts])
+        return [heapq.heappop(heaps[counts[p]])[1] for p in chosen]
 
-    def trisections(self, selected: list[int]):
-        """Unit samples that split each selected rectangle along all of its longest
-        sides: per rectangle, per dimension, the plus then the minus sample; and
-        per rectangle, its index and the dimensions it is cut along."""
+    def step(self, selected: list[int]) -> None:
+        """Trisect the selected rectangles along all of their longest sides,
+        score the samples in one batch and split every rectangle whose samples
+        were all scored; the others go back on their heaps."""
+        centers, levels_of, cuts_of, heaps = self.centers, self.levels, self.cuts, self.heaps
+        d, offsets = self.dimension, self.offsets
         samples, splits = [], []
         for index in selected:
-            center, levels = self.centers[index], self.levels[index]
-            low = min(levels)
-            delta = 3.0 ** (-(float(low) + 1.0))
-            dims = [k for k, level in enumerate(levels) if level == low]
+            center, low = centers[index], cuts_of[index] // d
+            delta = offsets[low]  # low is the level of the longest sides
+            dims = [k for k, level in enumerate(levels_of[index]) if level == low]
             for k in dims:
                 plus, minus = center.copy(), center.copy()
                 plus[k] += delta
                 minus[k] -= delta
                 samples += (plus, minus)
             splits.append((index, dims))
-        return samples, splits
-
-    def split(self, index: int, dims: list[int], samples: list, values: list[float]) -> None:
-        """Record the trisection of rectangle ``index``; sample pair k cuts it along ``dims[k]``."""
-        # Best child first, so it keeps the largest remaining rectangle.
-        order = sorted(range(len(dims)),
-                       key=lambda k: (min(values[2 * k], values[2 * k + 1]), dims[k]))
-        levels, cuts = self.levels[index], self.cuts[index]
-        for k in order:
-            levels = levels.copy()
-            levels[dims[k]] += 1
-            cuts += 1
-            if cuts == len(self.heaps):
-                self.heaps.append([])
-            for j in (2 * k, 2 * k + 1):
-                heapq.heappush(self.heaps[cuts], (values[j], len(self.values)))
-                self.centers.append(samples[j])
-                self.levels.append(levels)
-                self.values.append(values[j])
-                self.cuts.append(cuts)
-        self.levels[index], self.cuts[index] = levels, cuts
-        heapq.heappush(self.heaps[cuts], (self.values[index], index))
+        scored = min(len(samples), self.limit - self.evaluations)
+        values = self.evaluate(np.array(samples[:scored])).tolist()
+        start, n, values_of, push = 0, len(cuts_of), self.values, heapq.heappush
+        for index, dims in splits:
+            end, cuts = start + 2 * len(dims), cuts_of[index]
+            if end <= scored:
+                while len(heaps) <= cuts + len(dims):
+                    self.add_count()
+                levels = levels_of[index]
+                # Best child first, so it keeps the largest remaining rectangle.
+                for _, k, j in sorted((min(values[j], values[j + 1]), k, j)
+                                      for j, k in zip(range(start, end, 2), dims)):
+                    levels = levels.copy()
+                    levels[k] += 1
+                    cuts += 1
+                    push(heaps[cuts], (values[j], n))
+                    push(heaps[cuts], (values[j + 1], n + 1))
+                    n += 2
+                    centers += samples[j : j + 2]
+                    levels_of += (levels, levels)
+                    values_of += values[j : j + 2]
+                    cuts_of += (cuts, cuts)
+                levels_of[index], cuts_of[index] = levels, cuts
+            push(heaps[cuts], (values_of[index], index))
+            start = end
 
 
 def maximize(
@@ -208,14 +235,5 @@ def maximize(
     batch = objective if vectorized else (lambda xs: [float(objective(x)) for x in xs])
     search = _Search(batch, domain, config.max_evaluations)
     while search.evaluations < search.limit:
-        samples, splits = search.trisections(search.potentially_optimal())
-        scored = min(len(samples), search.limit - search.evaluations)
-        values = search.evaluate(np.array(samples[:scored])).tolist()
-        start = 0
-        for index, dims in splits:
-            end = start + 2 * len(dims)
-            if end > scored:  # only splits whose samples were all scored create rectangles
-                break
-            search.split(index, dims, samples[start:end], values[start:end])
-            start = end
+        search.step(search.potentially_optimal())
     return search.best_point, -search.best_value

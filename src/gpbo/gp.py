@@ -425,8 +425,8 @@ def minimize(fun, x0, args, bounds, max_iter, known=None) -> OptimizeResult:
     settings and stopping rules, and a one-entry memo on ``x`` answers a
     repeated request, so ``nfev`` counts what scipy's would.  ``known`` is
     ``(value, gradient)`` at ``x0`` if the caller has it already; it answers
-    the first request and is not counted in ``nfev``.  ``fun`` must not write
-    into its argument.  The result has ``x``, ``fun`` and ``nfev``.
+    the first request and is not counted in ``nfev``.  ``fun`` gets a copy of
+    the core's ``x``.  The result has ``x``, ``fun`` and ``nfev``.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     box = np.array(bounds, dtype=float)
@@ -446,15 +446,14 @@ def minimize(fun, x0, args, bounds, max_iter, known=None) -> OptimizeResult:
     isave = np.zeros(44, dtype=np.int32)
     dsave = np.zeros(29)
     seeded = known is not None and np.array_equal(x, x0)
-    memo_x, memo = (x.copy(), known) if seeded else (None, None)
+    memo_x, memo = (x.tolist(), known) if seeded else (None, None)
     nfev = iterations = 0
     while True:
         setulb(m, x, low, high, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL, wa, iwa,
                task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
         if task[0] == 3:  # FG: the core wants the value and gradient at x
-            if memo_x is None or not np.array_equal(x, memo_x):
-                memo_x = x.copy()
-                memo = fun(memo_x, *args)
+            if x.tolist() != memo_x:  # np.array_equal's answer on finite x, at a tenth of its cost
+                memo_x, memo = x.tolist(), fun(x.copy(), *args)
                 nfev += 1
             f, grad = memo
             # A copy: the core may write into g, and the memo must keep it.

@@ -171,11 +171,85 @@ class TestCutCountGrouping:
             assert measures[-1] == direct._measure(canonical[::-1])
 
 
+class TestSearchState:
+    """Invariants of the search's own bookkeeping."""
+
+    # Each case cuts its last batch short: the two of TestBatchedAgainstScalarReference
+    # that do, and a plateau case whose signed-zero ties reach the heaps.
+    @pytest.mark.parametrize("d, budget, plateau", [(3, 56, False), (1, 6, False), (2, 200, True)])
+    def test_each_heap_holds_exactly_its_count(self, monkeypatch, d, budget, plateau):
+        """After every iteration, heaps[s] holds (value, index) of exactly the
+        rectangles with s cuts, and its top is the least of them."""
+        cut_short = []
+
+        def check(search):
+            for s, heap in enumerate(search.heaps):
+                members = sorted((v, i) for i, (v, c) in enumerate(zip(search.values, search.cuts))
+                                 if c == s)
+                assert all(search.cuts[i] == s for _, i in heap)
+                assert sorted(heap) == members
+                if heap:
+                    assert heap[0] == members[0]
+
+        class Checking(direct._Search):
+            def __init__(self, *args):
+                super().__init__(*args)
+                check(self)
+
+            def step(self, selected):
+                needed = sum(2 * self.levels[i].count(self.cuts[i] // self.dimension)
+                             for i in selected)
+                cut_short.append(needed > self.limit - self.evaluations)
+                super().step(selected)
+                check(self)
+
+        monkeypatch.setattr(direct, "_Search", Checking)
+        coeffs = np.array([0.01, -0.02, 0.01]) if plateau else np.ones(3)
+        freqs = np.linspace(-5.0, 5.0, 3 * d).reshape(3, d) if plateau else np.ones((3, d))
+        f = smooth_surface(coeffs, freqs, plateau)
+        direct.maximize(f, BoxDomain(np.zeros(d), np.ones(d)), DirectConfig(max_evaluations=budget))
+        assert cut_short[-1] and not any(cut_short[:-1])
+
+    @pytest.mark.parametrize("d", [1, 6])
+    def test_trisection_offsets_are_powers_of_three(self, d):
+        """Every level up to the bound of test_measure_strictly_falls_with_cut_count
+        gets the offset the scalar reference computes."""
+        search = direct._Search(lambda xs: np.zeros(len(xs)), BoxDomain(np.zeros(d), np.ones(d)), 1)
+        while len(search.offsets) <= 307:
+            search.add_count()
+        assert search.offsets[:308] == [3.0 ** (-(float(level) + 1.0)) for level in range(308)]
+
+
 # --- reference: the one-point-per-call search the batched loop replaced ------
 
 
 class _Budget(Exception):
     pass
+
+
+def reference_hull(measures, values, epsilon=1e-4):
+    """Positions of the potentially-optimal points of a cloud in ascending
+    measure, by the double loop over every pair of points."""
+    f_min = min(values)
+    selected = []
+    for pos, (measure, value) in enumerate(zip(measures, values)):
+        left = -math.inf
+        for m2, v2 in zip(measures[:pos], values[:pos]):
+            left = max(left, (value - v2) / (measure - m2))
+        right = math.inf
+        for m2, v2 in zip(measures[pos + 1 :], values[pos + 1 :]):
+            right = min(right, (v2 - value) / (m2 - measure))
+        if left > right:
+            continue
+        if math.isfinite(right):
+            if f_min != 0.0:
+                ok = epsilon <= (f_min - value) / abs(f_min) + measure * right / abs(f_min)
+            else:
+                ok = value - measure * right <= 0.0
+            if not ok:
+                continue
+        selected.append(pos)
+    return selected
 
 
 def reference_maximize(objective, domain, max_evaluations, epsilon=1e-4):
@@ -208,27 +282,9 @@ def reference_maximize(objective, domain, max_evaluations, epsilon=1e-4):
             if cur is None or v < values[cur]:
                 best_for_measure[m] = idx
         candidates = sorted(best_for_measure.items())
-        f_min = min(values)
-        selected = []
-        for pos, (measure, idx) in enumerate(candidates):
-            value = values[idx]
-            left = -math.inf
-            for m2, i2 in candidates[:pos]:
-                left = max(left, (value - values[i2]) / (measure - m2))
-            right = math.inf
-            for m2, i2 in candidates[pos + 1 :]:
-                right = min(right, (values[i2] - value) / (m2 - measure))
-            if left > right:
-                continue
-            if math.isfinite(right):
-                if f_min != 0.0:
-                    ok = epsilon <= (f_min - value) / abs(f_min) + measure * right / abs(f_min)
-                else:
-                    ok = value - measure * right <= 0.0
-                if not ok:
-                    continue
-            selected.append(idx)
-        return selected
+        chosen = reference_hull([m for m, _ in candidates], [values[i] for _, i in candidates],
+                                epsilon)
+        return [candidates[pos][1] for pos in chosen]
 
     def split(idx):
         center, level = centers[idx], levels[idx]
@@ -353,3 +409,42 @@ class TestBatchedAgainstScalarReference:
         with pytest.raises(ValueError):
             direct.maximize(lambda xs: np.zeros(1), unit_interval(),
                             DirectConfig(max_evaluations=10), vectorized=True)
+
+
+@st.composite
+def clouds(draw):
+    """Points in strictly ascending measure.  Integer measures with values on a
+    line give exactly collinear triples; the value pool gives exact ties,
+    signed zeros and, when nothing below zero is drawn, f_min == 0."""
+    k = draw(st.integers(1, 24))
+    if draw(st.booleans()):
+        measures = [float(m) for m in sorted(draw(st.sets(st.integers(1, 60), min_size=k, max_size=k)))]
+    else:
+        measures = sorted(draw(st.sets(st.floats(1e-3, 1.0), min_size=k, max_size=k)))
+    kind = draw(st.sampled_from(["line", "pool", "float"]))
+    if kind == "line":
+        a, b = draw(st.integers(-5, 5)), draw(st.integers(-3, 3))
+        bumps = draw(st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=k, max_size=k))
+        values = [float(a + b * m + e) for m, e in zip(measures, bumps)]
+    elif kind == "pool":
+        pool = st.sampled_from([-1.0, -0.0, 0.0, 0.0, 0.5, 1.0, 2.0])
+        values = draw(st.lists(pool, min_size=k, max_size=k))
+    else:
+        values = draw(st.lists(st.floats(-10.0, 10.0), min_size=k, max_size=k))
+    return measures, values
+
+
+class TestHullAgainstReference:
+    @settings(max_examples=400, deadline=None)
+    @given(clouds())
+    # The middle of an exactly collinear triple is on the hull, and selected.
+    @example(([1.0, 2.0, 3.0], [-3.0, -2.0, -1.0]))
+    # The same with f_min == 0.
+    @example(([1.0, 2.0, 3.0], [0.0, 1.0, 2.0]))
+    # Only signed zeros: f_min == 0 and every slope is zero.
+    @example(([1.0, 2.0, 4.0], [-0.0, 0.0, -0.0]))
+    # The epsilon test rejects the smaller point, which is on the hull.
+    @example(([1.0, 2.0], [0.0, -1.0]))
+    def test_same_selection_as_double_loop(self, cloud):
+        measures, values = cloud
+        assert direct._hull(measures, values) == reference_hull(measures, values)

@@ -212,6 +212,24 @@ class TestRunBopp:
         for box in boxes:
             np.testing.assert_allclose(box, [[0.05, 1.0], [5.0, 100.0]], rtol=1e-12)
 
+    def test_fit_preset_compares_and_hashes(self, monkeypatch):
+        """Two runs over one domain build equal fit presets with equal hashes."""
+        domain = BoxDomain(np.zeros(2), np.array([1.0, 100.0]))
+        obj = Objective("plane", domain, lambda x: -np.sum((x - domain.center) ** 2, axis=1))
+        configs = []
+        original = gp.fit
+
+        def recording_fit(data, init, config, rng):
+            configs.append(config)
+            return original(data, init, config, rng)
+
+        monkeypatch.setattr(gp, "fit", recording_fit)
+        run_bo(obj, fast_config(budget=1))
+        run_bo(obj, fast_config(budget=1))
+        first, second = configs
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+
     def test_first_fit_unaffected_by_pseudo_values(self, monkeypatch):
         """Given the same true data, perturbed pseudo values leave the fit alone."""
         obj = make_synthetic("griewank")
