@@ -169,10 +169,9 @@ def run_bopp(objective: Objective, config: RunConfig) -> RegretTrace:
     # Lengthscales live between 5% and 100% of their coordinate's side. Shorter
     # scales model observation noise, not structure; longer ones are
     # indistinguishable from a trend but keep distorting the surrogate's peak.
-    # Tuples of floats, not arrays, so that the config compares and hashes.
     widths = objective.domain.widths
-    bounds = tuple((0.05 * widths).tolist()), tuple(widths.tolist())
-    fit_config = FitConfig(fix_amplitude=config.unit_amplitude, lengthscale_bounds=bounds)
+    fit_config = FitConfig(fix_amplitude=config.unit_amplitude,
+                           lengthscale_bounds=(0.05 * widths, widths))
     warm_config = replace(fit_config, n_starts=1)
     direct_config = direct.DirectConfig(max_evaluations=_DIRECT_EVALUATIONS_PER_DIM * d)
 

@@ -147,8 +147,7 @@ def _chol_with_jitter(mat: np.ndarray) -> tuple[np.ndarray, float]:
 
     Only the lower triangle of ``mat`` is read, and ``mat`` is left as it
     was.  The factor's upper triangle is zero.  Every model and likelihood
-    factorization goes through here; only the mean-error envelope in
-    ``theory`` draws its prior samples through ``np.linalg.cholesky``.
+    factorization goes through here.
     """
     n = mat.shape[0]
     for jitter in JITTER_LADDER:
@@ -336,6 +335,9 @@ class FitConfig:
         low, high = (np.asarray(b, dtype=float) for b in self.lengthscale_bounds)
         if not (np.all(low > 0) and np.all(low <= high) and np.all(np.isfinite(high))):
             raise ValueError("lengthscale bounds must satisfy 0 < low <= high < inf")
+        # Floats, or tuples of floats, so that configs compare and hash.
+        bounds = tuple(b.item() if b.ndim == 0 else tuple(b.tolist()) for b in (low, high))
+        object.__setattr__(self, "lengthscale_bounds", bounds)
 
 
 def _lik_stack(points: np.ndarray) -> np.ndarray:

@@ -335,6 +335,18 @@ class TestVerifyCommand:
         failed = [r for r in reports if not r.passed]
         assert any(r.name == "variance_reduction_identity" for r in failed)
 
+    def test_same_seed_replays_the_reports(self):
+        """Two calls with one seed give equal reports, and each report carries
+        the seed of its instance: 1_000_003 * seed + k for the k-th identity
+        instance, the seed itself for the envelope."""
+        seed = 3
+        first = [r.to_dict() for r in cli.verify(seed, 5, envelope_trials=40)[1]]
+        second = [r.to_dict() for r in cli.verify(seed, 5, envelope_trials=40)[1]]
+        assert first == second
+        expected = [seed * 1_000_003 + k for k in range(5) for _ in range(3)] + [seed]
+        assert [r["seed"] for r in first] == expected
+        assert first[-1]["name"] == "mean_error_envelope"
+
     @pytest.mark.parametrize("counts, message", [
         (dict(instances=-3), "instances must be at least 1, got -3"),
         (dict(envelope_trials=0), "envelope_trials must be at least 1, got 0"),

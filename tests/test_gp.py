@@ -593,6 +593,16 @@ class TestFit:
         with pytest.raises(ValueError, match="lengthscale bounds must satisfy 0 < low <= high < inf"):
             FitConfig(lengthscale_bounds=bounds)
 
+    def test_array_bounds_compare_and_hash(self):
+        """Array bounds are kept as tuples of floats, so configs built from
+        equal arrays are equal and hash alike; scalars stay floats."""
+        first = FitConfig(lengthscale_bounds=(np.full(2, 0.1), np.full(2, 2.0)))
+        second = FitConfig(lengthscale_bounds=(np.full(2, 0.1), np.full(2, 2.0)))
+        assert first == second and hash(first) == hash(second)
+        assert first.lengthscale_bounds == ((0.1, 0.1), (2.0, 2.0))
+        assert FitConfig(lengthscale_bounds=(np.float64(0.1), 2)).lengthscale_bounds == (0.1, 2.0)
+        assert first != FitConfig(lengthscale_bounds=(np.full(2, 0.1), np.array([2.0, 1.0])))
+
     def test_noise_held_fixed_by_default(self, monkeypatch):
         monkeypatch.setattr(gp, "_FIT_MAX_ITER", 10)
         rng = np.random.default_rng(21)

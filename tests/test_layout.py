@@ -66,12 +66,14 @@ def test_package_exports_are_pinned():
 
 def test_one_cholesky_path():
     # Every factorization goes through gp._chol_with_jitter: no module takes
-    # scipy's Cholesky wrappers, and only gp calls LAPACK dpotrf.
+    # scipy's or numpy's Cholesky, and only gp calls LAPACK dpotrf.
     for path in sorted(SOURCE.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(("scipy", "numpy")):
                 taken = {alias.name for alias in node.names}
                 assert not taken & {"cholesky", "cho_factor"}, (path.name, node.module)
+            if isinstance(node, ast.Attribute):
+                assert node.attr not in {"cholesky", "cho_factor"}, f"{path.name} calls {dotted(node)}"
             named = getattr(node, "id", None) or getattr(node, "attr", None)
             if isinstance(node, (ast.Name, ast.Attribute)) and named == "dpotrf":
                 assert path.name == "gp.py", f"{path.name} calls dpotrf"

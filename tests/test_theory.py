@@ -105,12 +105,28 @@ class TestIdentitySuite:
             assert {"name", "passed", "max_error", "seed"} <= set(d)
 
 
+def slope_grid(d):
+    """The envelope's slope grid: 96 rows per coordinate, each varying that
+    coordinate through the box centre."""
+    grid_axis = np.linspace(-1.0, 1.0, 96)
+    grids = []
+    for j in range(d):
+        g = np.tile(unit_symmetric(d).center, (grid_axis.size, 1))
+        g[:, j] = grid_axis
+        grids.append(g)
+    return np.vstack(grids), grid_axis[1] - grid_axis[0]
+
+
 def two_model_envelope(instance, trials, theory_params):
     """The envelope's realized errors and bounds per trial, from two explicitly
     augmented models (borrowed and true values) and the per-coordinate slope
-    loop: the route the closed-form check replaced."""
+    loop: the route the closed-form check replaced.  The prior draw is the
+    check's: the grid's rows first, then the base and pseudo rows added by
+    gp's block update."""
     d = instance.dimension
     domain = unit_symmetric(d)
+    grid, step = slope_grid(d)
+    n_grid = grid.shape[0] // d
     realized, bounds = [], []
     for k in range(trials):
         rng = np.random.default_rng(np.random.SeedSequence([instance.seed, 0x5EED, k]))
@@ -120,28 +136,21 @@ def two_model_envelope(instance, trials, theory_params):
         parents = rng.integers(0, instance.n_base, size=instance.n_pseudo)
         pp_shape = pseudo._place(placeholder, parents, instance.tau, domain, rng)
         queries = domain.sample(rng, 8)
-        grid_axis = np.linspace(-1.0, 1.0, 96)
-        grids = []
-        for j in range(d):
-            g = np.tile(domain.center, (grid_axis.size, 1))
-            g[:, j] = grid_axis
-            grids.append(g)
-        everything = np.vstack([base, pp_shape.points] + grids)
-        cov = gp.kernel_matrix(everything, everything, params)
-        cov[np.diag_indices_from(cov)] += 1e-10
-        f_all = np.linalg.cholesky(cov) @ rng.standard_normal(everything.shape[0])
+        grid_prior = gp.build_model(gp.Dataset(grid, np.zeros(len(grid))),
+                                    gp.KernelParams(np.full(d, 0.6), 1.0, 1e-10))
+        factor, _ = gp._augmented_factor(grid_prior, np.vstack([base, pp_shape.points]))
+        f_all = factor @ rng.standard_normal(factor.shape[0])
         n_b, n_p = instance.n_base, len(pp_shape)
-        f_grid = f_all[n_b + n_p:]
-        step = grid_axis[1] - grid_axis[0]
+        f_rest = f_all[len(grid):]
         slope = 0.0
         for j in range(d):
-            vals = f_grid[j * grid_axis.size:(j + 1) * grid_axis.size]
+            vals = f_all[j * n_grid:(j + 1) * n_grid]
             slope = max(slope, float(np.max(np.abs(np.diff(vals)))) / step)
         sigma = math.sqrt(instance.noise_variance)
-        y_base = f_all[:n_b] + sigma * rng.standard_normal(n_b)
+        y_base = f_rest[:n_b] + sigma * rng.standard_normal(n_b)
         model = gp.build_model(gp.Dataset(base, y_base), params)
         pp = replace(pp_shape, values=y_base[pp_shape.parent_index])
-        y_true = f_all[n_b:n_b + n_p] + sigma * rng.standard_normal(n_p)
+        y_true = f_rest[n_b:n_b + n_p] + sigma * rng.standard_normal(n_p)
         mu_hat, _ = gp.predict(pseudo.augmented_model(model, pp), queries)
         mu_tilde, _ = gp.predict(pseudo.augmented_model(model, replace(pp, values=y_true)), queries)
         realized.append(float(np.max(np.abs(mu_hat - mu_tilde))))
@@ -150,12 +159,15 @@ def two_model_envelope(instance, trials, theory_params):
     return np.array(realized), np.array(bounds)
 
 
+ENVELOPE_INSTANCES = pytest.mark.parametrize("instance", [
+    TheoryInstance(dimension=1, n_base=4, n_pseudo=2, tau=0.05, noise_variance=1e-2, seed=0),
+    TheoryInstance(dimension=2, n_base=6, n_pseudo=3, tau=0.08, noise_variance=1e-3, seed=5),
+    TheoryInstance(dimension=3, n_base=3, n_pseudo=4, tau=0.02, noise_variance=5e-2, seed=8),
+], ids=["d1", "d2", "d3"])
+
+
 class TestMeanErrorEnvelope:
-    @pytest.mark.parametrize("instance", [
-        TheoryInstance(dimension=1, n_base=4, n_pseudo=2, tau=0.05, noise_variance=1e-2, seed=0),
-        TheoryInstance(dimension=2, n_base=6, n_pseudo=3, tau=0.08, noise_variance=1e-3, seed=5),
-        TheoryInstance(dimension=3, n_base=3, n_pseudo=4, tau=0.02, noise_variance=5e-2, seed=8),
-    ], ids=["d1", "d2", "d3"])
+    @ENVELOPE_INSTANCES
     def test_closed_form_matches_two_model_route(self, instance):
         params = TheoryParams()
         report = check_mean_error_envelope(instance, trials=25, theory=params)
@@ -163,6 +175,32 @@ class TestMeanErrorEnvelope:
         assert report.detail["mean_realized"] == pytest.approx(np.mean(realized), rel=1e-10)
         assert report.detail["mean_envelope"] == float(np.mean(bounds))
         assert report.detail["exceedances"] == int(np.sum(realized > bounds))
+
+    @ENVELOPE_INSTANCES
+    def test_prior_draws_factor_the_joint_covariance(self, instance, monkeypatch):
+        """Each trial samples with a factor of the prior covariance over
+        [grid, base, pseudo] plus 1e-10 on the diagonal."""
+        d = instance.dimension
+        grid, _ = slope_grid(d)
+        original = gp._augmented_factor
+        draws = []
+
+        def spy(model, points):
+            factor, jitter = original(model, points)
+            if len(model) == len(grid):
+                draws.append((model.data.points, points, factor))
+            return factor, jitter
+
+        monkeypatch.setattr(gp, "_augmented_factor", spy)
+        check_mean_error_envelope(instance, trials=5, theory=TheoryParams())
+        assert len(draws) == 5
+        params = gp.KernelParams(np.full(d, 0.6), 1.0, 1e-10)
+        for prior_points, points, factor in draws:
+            np.testing.assert_array_equal(prior_points, grid)
+            assert points.shape == (instance.n_base + instance.n_pseudo, d)
+            rows = np.vstack([grid, points])
+            expected = gp.kernel_matrix(rows, rows, params) + 1e-10 * np.eye(len(rows))
+            np.testing.assert_allclose(factor @ factor.T, expected, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("sizes", [dict(tau=0.0, n_pseudo=2), dict(tau=0.05, n_pseudo=0)],
                              ids=["tau0", "no-pseudo"])
