@@ -19,10 +19,21 @@ and ``_cho_solve``, making the calls ``scipy.linalg.solve_triangular`` and
 handling cost 14-24 us a call against 1-3 us for the routine at the sizes
 ``gpbo verify`` solves (1-12 base rows, 1-6 pseudo rows).  This module is
 the one home of the package's LAPACK and BLAS calls.
+
+Kernel arithmetic runs on coordinate planes.  ``kernel_matrix`` forms one
+(n, m) plane of differences per coordinate, and ``_lik_stack`` one (n, n)
+plane, so every elementwise pass covers whole planes instead of a d-long
+inner loop per pair of points.  ``kernel_matrix`` adds the squared planes in
+two lanes, the even coordinates and the odd ones, in the order numpy's
+einsum adds them on a 128-bit SIMD baseline (``_lanes``).  On such a build
+the kernel has the bits of ``einsum("ijk,ijk->ij", diff, diff)`` at every d,
+which keeps BO trajectories bit-identical to that form; an einsum built for a
+wider baseline adds in another order and differs in the last bits.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -115,6 +126,8 @@ class KernelParams:
 
     def __post_init__(self):
         ls = np.atleast_1d(np.asarray(self.lengthscales, dtype=float))
+        if ls.ndim != 1 or ls.size == 0:
+            raise ValueError("lengthscales must be a non-empty vector, one per coordinate")
         if not np.all(np.isfinite(ls)) or np.any(ls <= 0):
             raise ValueError("lengthscales must be strictly positive and finite")
         if not (np.isfinite(self.amplitude) and self.amplitude > 0):
@@ -130,16 +143,59 @@ class KernelParams:
         return self.lengthscales.shape[0]
 
 
+@functools.cache
+def _lanes(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The coordinates of each of two lanes, in the order ``kernel_matrix``
+    adds their squares; the sum is then lane 0 + lane 1.
+
+    That is numpy einsum's order for ``"ijk,ijk->ij"`` on a 128-bit SIMD
+    baseline (X86_V2).  Lane 0 takes the even coordinates and lane 1 the odd
+    ones.  Each lane adds every full block of eight coordinates from its last
+    pair back to its first, and then the remaining coordinates in order.
+    """
+    full = d - d % 8
+    even = [k + j for k in range(0, full, 8) for j in (6, 4, 2, 0)] + list(range(full, d, 2))
+    return tuple(even), tuple(k + 1 for k in even if k + 1 < d)
+
+
 def kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
     """Cross-covariance matrix between rows of ``a`` (n, d) and ``b`` (m, d).
 
     Computed from explicit coordinate differences so that identical rows give
-    exactly ``amplitude`` (no cancellation in a dot-product expansion).
+    exactly ``amplitude`` (no cancellation in a dot-product expansion).  The
+    differences are formed on coordinate planes: one broadcast of contiguous
+    transposes of ``a`` and ``b`` gives one (n, m) plane per coordinate, so
+    every pass runs over whole planes and none over a d-long inner axis.  The
+    squared planes are added in ``_lanes`` order, numpy einsum's own order on
+    a 128-bit baseline, so the result has the bits of ``einsum("ijk,ijk->ij",
+    diff, diff)`` there and BO trajectories stay bit-identical to that form.
+    Zero-row inputs give an empty matrix.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    diff = (a[:, None, :] - b[None, :, :]) / params.lengthscales
-    return params.amplitude * np.exp(-0.5 * np.einsum("ijk,ijk->ij", diff, diff))
+    d = params.dimension
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != d or b.shape[1] != d:
+        raise ValueError(
+            f"kernel_matrix needs (n, {d}) and (m, {d}) arrays, got shapes {a.shape} and {b.shape}"
+        )
+    n, m = a.shape[0], b.shape[0]
+    a_planes, b_planes = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
+    planes = (a_planes[:, :, None] - b_planes[:, None, :]).reshape(d, n * m)
+    planes /= params.lengthscales[:, None]
+    planes *= planes
+    even, odd = _lanes(d)
+    total = planes[even[0]]
+    for k in even[1:]:
+        total += planes[k]
+    if odd:
+        lane = planes[odd[0]]
+        for k in odd[1:]:
+            lane += planes[k]
+        total += lane
+    total *= -0.5
+    np.exp(total, out=total)
+    total *= params.amplitude
+    return total.reshape(n, m)
 
 
 def _chol_with_jitter(mat: np.ndarray) -> tuple[np.ndarray, float]:
@@ -350,9 +406,12 @@ def _lik_stack(points: np.ndarray) -> np.ndarray:
     """
     n, d = points.shape
     weights = np.tril(np.full((n, n), 2.0), -1) + np.eye(n)
-    diff = points[:, None, :] - points[None, :, :]
+    coords = np.ascontiguousarray(points.T)
     stack = np.empty((d + 1, n, n))
-    stack[:d] = np.square(diff).transpose(2, 0, 1) * weights
+    planes = stack[:d]
+    np.subtract(coords[:, :, None], coords[:, None, :], out=planes)
+    planes *= planes
+    planes *= weights
     stack[d] = weights
     return stack.reshape(d + 1, n * n)
 

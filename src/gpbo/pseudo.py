@@ -129,20 +129,21 @@ def _place(
     """One pseudo-point at displacement ``tau`` from each ``data`` row named in
     ``parents``, by the sign, boundary and collision rules of ``generate``."""
     n, count, d = len(data), len(parents), domain.dimension
-    # Observed points, then the pseudo-points accepted so far.
-    taken = np.empty((n + count, d))
-    taken[:n] = data.points
+    # Observed points, then the pseudo-points accepted so far, one column
+    # each, so the collision scan reduces over whole rows of coordinates.
+    taken = np.empty((d, n + count))
+    taken[:, :n] = data.points.T
     for i, parent_idx in enumerate(parents):
         parent = data.points[parent_idx]
         for _ in range(_MAX_REDRAWS + 1):
             signs = rng.integers(0, 2, size=d) * 2.0 - 1.0
             candidate = _displace(parent, signs, tau, domain)
-            near = np.abs(taken[: n + i] - candidate) <= _COLLISION_TOL
-            if not near.all(axis=1).any():
+            near = np.abs(taken[:, : n + i] - candidate[:, None]) <= _COLLISION_TOL
+            if not near.all(axis=0).any():
                 break
-        taken[n + i] = candidate
+        taken[:, n + i] = candidate
     return PseudoPointSet(
-        points=taken[n:],
+        points=np.ascontiguousarray(taken[:, n:].T),
         values=data.observations[parents].copy(),
         parent_index=np.asarray(parents, dtype=int),
         tau=tau,

@@ -120,6 +120,91 @@ class TestKernel:
                 assert mat[i, j] == pytest.approx(scalar_kernel(a[i], b[j], p), rel=1e-14)
 
 
+def lane_sum(terms):
+    """``terms`` added as numpy's einsum adds one product row on a 128-bit
+    SIMD baseline: a two-lane vector accumulator takes each full block of
+    eight terms as four vectors, the last vector first, then the remaining
+    terms one vector at a time (odd counts padded with zero); the lanes are
+    added last."""
+    lanes = [0.0, 0.0]
+    full = len(terms) - len(terms) % 8
+    for start in range(0, full, 8):
+        for offset in (6, 4, 2, 0):
+            for lane in (0, 1):
+                lanes[lane] = terms[start + offset + lane] + lanes[lane]
+    for k in range(full, len(terms)):
+        lanes[(k - full) % 2] += terms[k]
+    return lanes[0] + lanes[1]
+
+
+def lane_reference_kernel(a, b, params):
+    """The kernel pair by pair, its squared scaled differences summed by ``lane_sum``."""
+    sums = np.zeros((len(a), len(b)))
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            z = [float(x[k] - y[k]) / float(params.lengthscales[k]) for k in range(len(x))]
+            sums[i, j] = lane_sum([zk * zk for zk in z])
+    return params.amplitude * np.exp(-0.5 * sums)
+
+
+def einsum_kernel(a, b, params):
+    """The kernel by one einsum over (n, m, d) differences."""
+    diff = (a[:, None, :] - b[None, :, :]) / params.lengthscales
+    return params.amplitude * np.exp(-0.5 * np.einsum("ijk,ijk->ij", diff, diff))
+
+
+class TestKernelPlanes:
+    @pytest.mark.parametrize("d", range(1, 11))
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 7), (9, 1), (6, 5)])
+    def test_lane_order_bits(self, d, n, m):
+        rng = np.random.default_rng(100 * d + 10 * n + m)
+        params = random_params(rng, d)
+        a, b = rng.uniform(-2, 2, (n, d)), rng.uniform(-2, 2, (m, d))
+        # Rows of b copied from a meet their twins at distance zero.
+        b[: min(n, m) // 2] = a[: min(n, m) // 2]
+        mat = gp.kernel_matrix(a, b, params)
+        assert mat.shape == (n, m) and mat.flags.c_contiguous
+        np.testing.assert_array_equal(mat, lane_reference_kernel(a, b, params))
+        np.testing.assert_allclose(mat, einsum_kernel(a, b, params), rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("d", range(1, 11))
+    def test_identical_rows_give_exactly_amplitude(self, d):
+        rng = np.random.default_rng(d)
+        params = random_params(rng, d)
+        a = rng.uniform(-1, 1, (5, d))
+        assert np.all(np.diag(gp.kernel_matrix(a, a, params)) == params.amplitude)
+        assert np.all(gp.kernel_matrix(a[[2, 2]], a[[2, 2, 2]], params) == params.amplitude)
+
+    @pytest.mark.parametrize("n, m", [(0, 3), (4, 0), (0, 0)])
+    def test_zero_rows_give_an_empty_matrix(self, n, m):
+        params = KernelParams(np.array([0.5, 0.7]))
+        assert gp.kernel_matrix(np.zeros((n, 2)), np.ones((m, 2)), params).shape == (n, m)
+
+    @pytest.mark.parametrize("a_shape, b_shape, lengthscales", [
+        ((3, 2), (2, 1), [0.5, 0.7]),  # b has one column too few
+        ((3, 1), (2, 2), [0.5, 0.7]),  # a has one column too few
+        ((3, 2), (2, 2), [0.5]),  # one lengthscale against 2-d points
+        ((3, 2), (2, 3), [0.5, 0.7, 0.9]),
+        ((2,), (2, 2), [0.5, 0.7]),  # a is one point, not a row matrix
+        ((3, 2), (2,), [0.5, 0.7]),
+        ((1, 3, 2), (2, 2), [0.5, 0.7]),
+    ], ids=["b-columns", "a-columns", "one-lengthscale", "three-lengthscales", "a-1d", "b-1d", "a-3d"])
+    def test_mismatched_inputs_rejected(self, a_shape, b_shape, lengthscales):
+        with pytest.raises(ValueError, match="kernel_matrix needs"):
+            gp.kernel_matrix(np.zeros(a_shape), np.ones(b_shape), KernelParams(np.array(lengthscales)))
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_likelihood_design_has_the_broadcast_bits(self, d):
+        rng = np.random.default_rng(d)
+        points = rng.uniform(-1, 1, (7, d))
+        points[3] = points[1]
+        n = len(points)
+        weights = np.tril(np.full((n, n), 2.0), -1) + np.eye(n)
+        diff = points[:, None, :] - points[None, :, :]
+        expected = np.concatenate([np.square(diff).transpose(2, 0, 1) * weights, weights[None]])
+        np.testing.assert_array_equal(gp._lik_stack(points), expected.reshape(d + 1, n * n))
+
+
 class TestPosterior:
     def test_empty_data_returns_prior(self):
         p = KernelParams(lengthscales=np.array([0.5]), amplitude=1.7)
@@ -702,6 +787,11 @@ class TestValidation:
     def test_dataset_rejects_non_finite(self):
         with pytest.raises(ValueError):
             Dataset(np.array([[np.inf, 0.0]]), [1.0])
+
+    @pytest.mark.parametrize("lengthscales", [np.empty(0), np.ones((2, 2))], ids=["empty", "2d"])
+    def test_params_reject_a_non_vector_lengthscale(self, lengthscales):
+        with pytest.raises(ValueError, match="non-empty vector"):
+            KernelParams(lengthscales=lengthscales)
 
     def test_params_reject_non_positive(self):
         with pytest.raises(ValueError):

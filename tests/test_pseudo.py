@@ -172,6 +172,21 @@ class TestGenerate:
         assert pp.tau == ref.tau
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
+    @pytest.mark.parametrize("d", [1, 2, 4])
+    def test_random_placements_match_scalar_reference(self, d):
+        # Points on a grid of step tau make many candidates land on a point.
+        rng = np.random.default_rng(40 + d)
+        tau0 = 0.5
+        tau = 2.0 * tau0 / (d * 30)
+        data = Dataset(rng.integers(-1, 2, (20, d)) * tau, rng.normal(size=20))
+        domain = unit_symmetric(d)
+        parents = rng.integers(0, 20, size=30)
+        pp = pseudo._place(data, parents, tau, domain, np.random.default_rng(7))
+        ref_rng = np.random.default_rng(7)
+        ref = reference_generate(data, parents, tau0, domain, ref_rng)
+        assert pp.points.shape == (30, d) and pp.points.flags.c_contiguous
+        assert pp.points.tobytes() == ref.points.tobytes()
+
     def test_fixed_mode_count(self):
         rng = np.random.default_rng(10)
         data = Dataset(rng.uniform(-1, 1, (5, 2)), rng.normal(size=5))
