@@ -228,8 +228,7 @@ def _repeat_seed(base_seed: int, repeat: int) -> int:
     return int(np.random.SeedSequence([base_seed, repeat]).generate_state(1)[0])
 
 
-def _run_config(config: ExperimentConfig, algo: AlgorithmSpec, obj: Objective, repeat: int) -> RunConfig:
-    # ``obj`` is not read: the run loop derives the fit box from its domain.
+def _run_config(config: ExperimentConfig, algo: AlgorithmSpec, repeat: int) -> RunConfig:
     return RunConfig(
         budget=config.budget,
         initial_points=config.initial_points,
@@ -244,7 +243,7 @@ def _run_config(config: ExperimentConfig, algo: AlgorithmSpec, obj: Objective, r
 
 def _one_run(config: ExperimentConfig, algo: AlgorithmSpec, repeat: int) -> RegretTrace:
     obj = _build_objective(config)
-    run_config = _run_config(config, algo, obj, repeat)
+    run_config = _run_config(config, algo, repeat)
     runner = run_bopp if run_config.pseudo.enabled else run_bo
     return runner(obj, run_config)
 

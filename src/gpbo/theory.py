@@ -4,9 +4,10 @@
 with pseudo-points on a finished run's trace: a theorem-form beta schedule
 plus one mean-error envelope per round.
 
-Each check builds a small random GP instance, evaluates a closed-form
-quantity from :mod:`gpbo.pseudo`, and compares it against a brute-force
-re-computation (posterior differences of explicitly augmented models).
+The three identity checks share one small random GP instance: each
+evaluates a closed-form quantity from :mod:`gpbo.pseudo` on it and compares
+it against a brute-force re-computation (posterior differences of explicitly
+augmented models).
 Reports carry the instance seed so any failure is replayable.
 """
 
@@ -187,96 +188,66 @@ def build_instance(instance: TheoryInstance):
     values = rng.normal(0.0, 1.0, size=instance.n_base)
     data = Dataset(points, values)
     model = gp.build_model(data, params)
-    if instance.n_pseudo == 0:
-        pp = pseudo.empty_pseudo_set(d)
-    else:
-        parents = rng.integers(0, instance.n_base, size=instance.n_pseudo)
-        if instance.tau == 0.0:
-            # Degenerate displacement: pseudo-points sit exactly on their parents.
-            pp = pseudo.PseudoPointSet(
-                points=data.points[parents].copy(),
-                values=data.observations[parents].copy(),
-                parent_index=parents,
-                tau=0.0,
-            )
-        else:
-            pp = pseudo._place(data, parents, instance.tau, domain, rng)
+    # A zero-size draw leaves the generator as it was, and at tau = 0 each
+    # pseudo-point sits on its parent after the collision redraws.
+    parents = rng.integers(0, instance.n_base, size=instance.n_pseudo)
+    pp = pseudo._place(data, parents, instance.tau, domain, rng)
     queries = domain.sample(rng, _N_QUERIES)
     return model, pp, queries, rng
 
 
+def _instance_reports(
+    instance: TheoryInstance, tolerance: float = 1e-8
+) -> tuple[CheckReport, CheckReport, CheckReport]:
+    """The variance-reduction, mean-shift and correction-bound reports of one
+    instance, in that order, from one build and one augmentation per value
+    set.  A failed factorization skips all three."""
+    names = ("variance_reduction_identity", "mean_shift_identity", "correction_bounds")
+    try:
+        model, pp, queries, rng = build_instance(instance)
+        true_values = pp.values + rng.normal(0.0, 0.5, size=len(pp))
+        with_copied = pseudo.augmented_model(model, pp)
+        with_true = pseudo.augmented_model(model, replace(pp, values=true_values))
+        terms = pseudo.correction_terms(model, pp, queries) if len(pp) else None
+    except gp.FactorizationError as exc:
+        return tuple(CheckReport(name, False, math.inf, limit, instance.seed, {"skipped": str(exc)})
+                     for name, limit in zip(names, (tolerance, tolerance, 0.0)))
+    _, base_var = gp.predict(model, queries)
+    mu_hat, aug_var = gp.predict(with_copied, queries)
+    mu_tilde, _ = gp.predict(with_true, queries)
+    reduction = pseudo.variance_reduction(model, pp, queries)
+    worst = float(np.max(np.abs(reduction - (base_var - aug_var))))
+    low = float(np.min(reduction))
+    variance = CheckReport(names[0], worst <= tolerance and low >= -1e-9, worst, tolerance,
+                           instance.seed, {"min_reduction": low, "n_pseudo": len(pp), "tau": pp.tau})
+    shift = pseudo.mean_shift(model, pp, true_values, queries)
+    worst = float(np.max(np.abs(shift - (mu_hat - mu_tilde))))
+    mean = CheckReport(names[1], worst <= tolerance, worst, tolerance, instance.seed,
+                       {"n_pseudo": len(pp), "tau": pp.tau})
+    if terms is None:
+        return variance, mean, CheckReport(names[2], True, 0.0, 0.0, instance.seed, {"n_pseudo": 0})
+    p_mat, m_mat, _ = terms
+    max_p, max_m = float(np.max(np.abs(p_mat))), float(np.max(np.abs(m_mat)))
+    p_excess = max_p - (math.sqrt(1.0 + instance.noise_variance) + 1e-8)
+    m_excess = max_m - (1.0 / instance.noise_variance + 1e-6)
+    bounds = CheckReport(names[2], p_excess <= 0.0 and m_excess <= 0.0, max(p_excess, m_excess, 0.0),
+                         0.0, instance.seed, {"max_abs_p": max_p, "max_abs_m": max_m})
+    return variance, mean, bounds
+
+
 def check_variance_reduction_identity(instance: TheoryInstance, tolerance: float = 1e-8) -> CheckReport:
     """Closed-form variance reduction vs. the difference of two posteriors."""
-    try:
-        model, pp, queries, _ = build_instance(instance)
-        augmented = pseudo.augmented_model(model, pp)
-    except gp.FactorizationError as exc:
-        return CheckReport("variance_reduction_identity", False, math.inf, tolerance,
-                           instance.seed, {"skipped": str(exc)})
-    closed = pseudo.variance_reduction(model, pp, queries)
-    _, base_var = gp.predict(model, queries)
-    _, aug_var = gp.predict(augmented, queries)
-    worst = float(np.max(np.abs(closed - (base_var - aug_var))))
-    min_value = float(np.min(closed))
-    passed = worst <= tolerance and min_value >= -1e-9
-    return CheckReport(
-        "variance_reduction_identity",
-        passed,
-        worst,
-        tolerance,
-        instance.seed,
-        {"min_reduction": min_value, "n_pseudo": len(pp), "tau": pp.tau},
-    )
+    return _instance_reports(instance, tolerance)[0]
 
 
 def check_mean_shift_identity(instance: TheoryInstance, tolerance: float = 1e-8) -> CheckReport:
     """Closed-form mean shift vs. paired explicit augmentations."""
-    try:
-        model, pp, queries, rng = build_instance(instance)
-    except gp.FactorizationError as exc:
-        return CheckReport("mean_shift_identity", False, math.inf, tolerance,
-                           instance.seed, {"skipped": str(exc)})
-    true_values = pp.values + rng.normal(0.0, 0.5, size=len(pp))
-    with_copied = pseudo.augmented_model(model, pp)
-    with_true = pseudo.augmented_model(model, replace(pp, values=true_values))
-    closed = pseudo.mean_shift(model, pp, true_values, queries)
-    mu_hat, _ = gp.predict(with_copied, queries)
-    mu_tilde, _ = gp.predict(with_true, queries)
-    worst = float(np.max(np.abs(closed - (mu_hat - mu_tilde))))
-    return CheckReport(
-        "mean_shift_identity",
-        worst <= tolerance,
-        worst,
-        tolerance,
-        instance.seed,
-        {"n_pseudo": len(pp), "tau": pp.tau},
-    )
+    return _instance_reports(instance, tolerance)[1]
 
 
 def check_correction_bounds(instance: TheoryInstance) -> CheckReport:
     """Elementwise envelopes: |p_j| <= sqrt(1+noise), |M_ji| <= 1/noise."""
-    try:
-        model, pp, queries, _ = build_instance(instance)
-        if len(pp) == 0:
-            return CheckReport("correction_bounds", True, 0.0, 0.0, instance.seed, {"n_pseudo": 0})
-        p_mat, m_mat, _ = pseudo.correction_terms(model, pp, queries)
-    except gp.FactorizationError as exc:
-        return CheckReport("correction_bounds", False, math.inf, 0.0,
-                           instance.seed, {"skipped": str(exc)})
-    noise = instance.noise_variance
-    p_limit = math.sqrt(1.0 + noise) + 1e-8
-    m_limit = 1.0 / noise + 1e-6
-    p_excess = float(np.max(np.abs(p_mat)) - p_limit)
-    m_excess = float(np.max(np.abs(m_mat)) - m_limit)
-    worst = max(p_excess, m_excess, 0.0)
-    return CheckReport(
-        "correction_bounds",
-        p_excess <= 0.0 and m_excess <= 0.0,
-        worst,
-        0.0,
-        instance.seed,
-        {"max_abs_p": float(np.max(np.abs(p_mat))), "max_abs_m": float(np.max(np.abs(m_mat)))},
-    )
+    return _instance_reports(instance)[2]
 
 
 def check_mean_error_envelope(
@@ -372,7 +343,5 @@ def run_identity_suite(seed: int, instances: int) -> list[CheckReport]:
             noise_variance=float(rng.uniform(1e-4, 1e-1)),
             seed=seed * 1_000_003 + k,
         )
-        reports.append(check_variance_reduction_identity(inst))
-        reports.append(check_mean_shift_identity(inst))
-        reports.append(check_correction_bounds(inst))
+        reports.extend(_instance_reports(inst))
     return reports

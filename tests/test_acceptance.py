@@ -170,7 +170,7 @@ def protocol_runs():
                 noise_variance=1e-4,
             )
             obj = make_synthetic(obj_name)
-            config = _run_config(experiment, algo, obj, repeat)
+            config = _run_config(experiment, algo, repeat)
             runner = run_bopp if config.pseudo.enabled else run_bo
             traces[name].append(runner(obj, config))
         done = 4 * (repeat + 1)

@@ -104,6 +104,20 @@ def test_one_factorization_path():
     assert callers == {("gp.py", "_augmented_factor"), ("gp.py", "_nll_and_grad")}
 
 
+def test_one_build_per_instance():
+    # The identity checks share one build: only theory._instance_reports
+    # calls build_instance, and the public checks are views of its reports.
+    callers = set()
+    for path in sorted(SOURCE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                named = getattr(func, "id", None) or getattr(func, "attr", None)
+                if isinstance(node, ast.Call) and named == "build_instance":
+                    callers.add((path.name, getattr(top, "name", None)))
+    assert callers == {("theory.py", "_instance_reports")}
+
+
 def test_one_fit_preset():
     # run_bopp builds each run's FitConfig from its domain; besides it, only
     # gp.fit's default argument constructs one.

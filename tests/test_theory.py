@@ -39,17 +39,33 @@ class TestVarianceReductionCheck:
         assert report.max_error <= 1e-8
 
     def test_no_pseudo_points_trivial(self):
-        report = check_variance_reduction_identity(
-            TheoryInstance(dimension=2, n_base=4, n_pseudo=0, seed=1)
-        )
+        inst = TheoryInstance(dimension=2, n_base=4, n_pseudo=0, seed=1)
+        report = check_variance_reduction_identity(inst)
         assert report.passed
         assert report.max_error == 0.0
+        model, pp, queries, _ = theory.build_instance(inst)
+        assert len(pp) == 0 and pp.points.shape == (0, 2) and pp.values.shape == (0,)
+        # The same instance with pseudo-points has the same base model; a
+        # zero-size parent draw leaves the generator as it was, so the queries
+        # come straight after the base model's draws.
+        with_pseudo, _, _, _ = theory.build_instance(replace(inst, n_pseudo=3))
+        np.testing.assert_array_equal(model.data.points, with_pseudo.data.points)
+        np.testing.assert_array_equal(model.data.observations, with_pseudo.data.observations)
+        rng = np.random.default_rng(np.random.SeedSequence([inst.seed, 0x7E07]))
+        domain = unit_symmetric(2)
+        rng.uniform(0.3, 1.2, size=2)
+        domain.sample(rng, 4)
+        rng.normal(0.0, 1.0, size=4)
+        np.testing.assert_array_equal(queries, domain.sample(rng, theory._N_QUERIES))
 
     def test_zero_tau_collision_path(self):
-        report = check_variance_reduction_identity(
-            TheoryInstance(dimension=2, n_base=4, n_pseudo=3, tau=0.0, seed=2)
-        )
+        inst = TheoryInstance(dimension=2, n_base=4, n_pseudo=3, tau=0.0, seed=2)
+        report = check_variance_reduction_identity(inst)
         assert report.passed
+        model, pp, _, _ = theory.build_instance(inst)
+        np.testing.assert_array_equal(pp.points, model.data.points[pp.parent_index])
+        np.testing.assert_array_equal(pp.values, model.data.observations[pp.parent_index])
+        assert pp.tau == 0.0
 
     def test_replayable(self):
         inst = TheoryInstance(dimension=3, n_base=6, n_pseudo=2, seed=77)
@@ -97,6 +113,23 @@ class TestIdentitySuite:
             r.max_error for r in reports if r.name.endswith("identity") and r.max_error > 0
         ]
         assert max(identity_errors) <= 1e-8
+
+    def test_one_build_per_instance(self, monkeypatch):
+        builds = []
+        build = theory.build_instance
+
+        def counted(instance):
+            builds.append(instance)
+            return build(instance)
+
+        monkeypatch.setattr(theory, "build_instance", counted)
+        reports = run_identity_suite(seed=3, instances=4)
+        assert len(builds) == 4
+        monkeypatch.setattr(theory, "build_instance", build)
+        for i, inst in enumerate(builds):
+            views = [check_variance_reduction_identity(inst), check_mean_shift_identity(inst),
+                     check_correction_bounds(inst)]
+            assert reports[3 * i:3 * i + 3] == views
 
     def test_reports_serializable(self):
         reports = run_identity_suite(seed=1, instances=2)
