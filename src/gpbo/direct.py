@@ -103,9 +103,11 @@ def _hull(measures: list[float], values: list[float]) -> list[int]:
         # The right scan below includes the slope to the chain successor, which
         # the chain stored by the scan's own expression, so right <= bound: a
         # point failing the test at bound skips the scan, and one passing it
-        # is tested again only if rounding put right below bound.
+        # is tested again only if rounding put right below bound.  At an
+        # infinite slope the test does not apply: with a subnormal f_min it
+        # would read inf - inf.
         bound = chain[c + 1][3] if c + 1 < len(chain) else math.inf
-        if fails(mi, vi, bound):
+        if bound < math.inf and fails(mi, vi, bound):
             continue
         right = min([(vi - vj) / (mi - mj) for mj, vj in points[i + 1 :]] or [math.inf])
         if right < bound and fails(mi, vi, right) and not math.isinf(right):

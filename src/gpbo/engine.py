@@ -255,7 +255,11 @@ def run_bopp(objective: Objective, config: RunConfig) -> RegretTrace:
         out.points[idx] = x_next
         out.observations[idx] = y_next
         out.true_values[idx] = f_next
-        out.delta_v[idx] = pseudo.variance_reduction(model, pp, x_next)
+        if len(pp):
+            # The closed form reads its blocks off the selection model's factor.
+            p_mat, s_lower = pseudo._p_and_s(selection_model.factor, fit_data.points, pp.points,
+                                             params, x_next[None])
+            out.delta_v[idx] = pseudo._reduction(p_mat, s_lower)[0]
         out.info_gain[idx] = gain
         out.pseudo_counts[idx] = len(pp)
         out.taus[idx] = pp.tau

@@ -350,6 +350,23 @@ def _augmented_factor(model: GpModel, points: np.ndarray) -> tuple[np.ndarray, f
     return factor, model.jitter
 
 
+def _extend(model: GpModel, extra: Dataset, factor: np.ndarray, jitter: float) -> GpModel:
+    """``model`` with ``extra``'s rows added, on ``factor``: the factor, with
+    its ``jitter``, that ``_augmented_factor(model, extra.points)`` returned.
+    Models of the same rows with other values share that factor, and only the
+    weights are solved again."""
+    joint = extra  # build_model's rows need no copy
+    if len(model):
+        # Both parts were checked when they were built: no second finite scan.
+        joint = object.__new__(Dataset)
+        object.__setattr__(joint, "points", np.vstack([model.data.points, extra.points]))
+        object.__setattr__(joint, "observations",
+                           np.concatenate([model.data.observations, extra.observations]))
+    w = _solve_triangular(factor, joint.observations, lower=True)
+    w = _solve_triangular(factor.T, w, lower=False)
+    return GpModel(model.params, joint, factor, w, jitter)
+
+
 def augment(model: GpModel, extra: Dataset) -> GpModel:
     """Add rows to a model through ``_augmented_factor``.
 
@@ -360,15 +377,7 @@ def augment(model: GpModel, extra: Dataset) -> GpModel:
         return model
     if extra.dimension != model.params.dimension:
         raise ValueError("dataset dimension does not match kernel lengthscales")
-    factor, jitter = _augmented_factor(model, extra.points)
-    # build_model's rows need no copy and no second check.
-    joint = extra if len(model) == 0 else Dataset(
-        np.vstack([model.data.points, extra.points]),
-        np.concatenate([model.data.observations, extra.observations]),
-    )
-    w = _solve_triangular(factor, joint.observations, lower=True)
-    w = _solve_triangular(factor.T, w, lower=False)
-    return GpModel(model.params, joint, factor, w, jitter)
+    return _extend(model, extra, *_augmented_factor(model, extra.points))
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,12 @@ error introduced by the borrowed values, both have closed forms in terms of
 the cross-covariance vector p(x) and the capacitance matrix M computed
 below.  Those closed forms are what the verification suite checks against
 plain re-fits.
+
+Both come from the blocks [[L11, 0], [H^T, L22]] of one augmented factor.
+``_p_and_s`` reads P and the factor of S off a factor the caller already
+holds, as the run loop and the verification suite do.  The public closed
+forms are views that build that factor once, with
+``gp._augmented_factor``, and call it.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 
 from . import gp
 from .domain import BoxDomain
-from .gp import Dataset, GpModel, kernel_matrix
+from .gp import Dataset, GpModel, KernelParams, kernel_matrix
 
 __all__ = [
     "PseudoPointSet",
@@ -155,6 +161,61 @@ def augmented_model(model: GpModel, pp: PseudoPointSet) -> GpModel:
     return gp.augment(model, Dataset(pp.points, pp.values))
 
 
+def _queries(model: GpModel, x: np.ndarray) -> np.ndarray:
+    """``x`` as rows (m, d), rejected unless finite and of the model's width."""
+    queries = np.atleast_2d(np.asarray(x, dtype=float))
+    if queries.ndim != 2 or queries.shape[1] != model.params.dimension:
+        raise ValueError("query dimension does not match the model")
+    if not np.isfinite(queries).all():
+        raise ValueError("queries must be finite")
+    return queries
+
+
+def _p_and_s(
+    factor: np.ndarray,
+    base_points: np.ndarray,
+    pseudo_points: np.ndarray,
+    params: KernelParams,
+    queries: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``correction_terms``'s P and S_factor, without forming M, read off
+    ``factor``: the lower Cholesky factor of the noisy covariance of the rows
+    [``base_points``, ``pseudo_points``], as ``gp._augmented_factor`` builds
+    it.  A column of P has the same bits alone as in a batch, as in
+    ``gp.predict``.  ``queries`` must be checked rows (m, d)."""
+    n = len(base_points)
+    cross_new = kernel_matrix(pseudo_points, queries, params)  # (l, m)
+    if n == 0:
+        return -cross_new, factor
+    cross_queries = kernel_matrix(base_points, queries, params)  # (t, m)
+    half_queries = gp._forward_solve(factor[:n, :n], cross_queries)
+    projected = np.cumsum(factor[n:, :n, None] * half_queries, axis=1)[:, -1]
+    return projected - cross_new, factor[n:, n:]
+
+
+def _own_p_and_s(
+    model: GpModel, pp: PseudoPointSet, queries: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``_p_and_s`` on the factor of ``model`` augmented by ``pp``'s rows,
+    for callers that do not hold it."""
+    factor, _ = gp._augmented_factor(model, pp.points)
+    return _p_and_s(factor, model.data.points, pp.points, model.params, queries)
+
+
+def _reduction(p_mat: np.ndarray, s_lower: np.ndarray) -> np.ndarray:
+    """p(x)^T M p(x) per column of P, by a triangular solve on S's factor and
+    a sequential sum of squares, so M is never formed and no entry is
+    negative."""
+    half = gp._forward_solve(s_lower, p_mat)
+    return np.cumsum(half * half, axis=0)[-1]
+
+
+def _shift(p_mat: np.ndarray, s_lower: np.ndarray, residual: np.ndarray) -> np.ndarray:
+    """-p(x)^T M ``residual`` per column of P, M applied by a solve."""
+    weights = gp._cho_solve(s_lower, residual)
+    return -np.cumsum(p_mat * weights[:, None], axis=0)[-1]
+
+
 def correction_terms(
     model: GpModel, pp: PseudoPointSet, queries: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -166,34 +227,21 @@ def correction_terms(
     ``S_factor`` is the lower Cholesky factor of S.  All three come from the
     blocks [[L11, 0], [H^T, L22]] of the augmented model's own factor,
     ``gp._augmented_factor``: A's factor is L11, and ``S_factor`` is L22.
+    An empty set gives a (0, m) P and (0, 0) M and S_factor.
 
     When S needs jitter from the ladder, that factor is a fresh factorization
     of the joint matrix, with its jitter on every row.  A and S above then
     carry the joint jitter, and ``mean_shift`` and ``variance_reduction``
     still describe the augmented model: the variance reduction is measured
-    from the base posterior at that jitter.  Only this function forms M.
+    from the base posterior at that jitter.  M is formed only for the
+    elementwise bound on it: here, and in the identity check, which reads
+    P and S_factor off the factor of the model it augmented.
     """
-    p_mat, s_lower = _p_and_s_factor(model, pp, queries)
+    queries = _queries(model, queries)
+    if len(pp) == 0:
+        return np.empty((0, len(queries))), np.empty((0, 0)), np.empty((0, 0))
+    p_mat, s_lower = _own_p_and_s(model, pp, queries)
     return p_mat, gp._cho_solve(s_lower, np.eye(len(pp))), s_lower
-
-
-def _p_and_s_factor(
-    model: GpModel, pp: PseudoPointSet, queries: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """``correction_terms``'s P and S_factor, without forming M.  A column of
-    P has the same bits alone as in a batch, as in ``gp.predict``."""
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    if not np.isfinite(queries).all():
-        raise ValueError("queries must be finite")
-    n = len(model)
-    factor, _ = gp._augmented_factor(model, pp.points)
-    cross_new = kernel_matrix(pp.points, queries, model.params)  # (l, m)
-    if n == 0:
-        return -cross_new, factor
-    cross_queries = kernel_matrix(model.data.points, queries, model.params)  # (t, m)
-    half_queries = gp._forward_solve(factor[:n, :n], cross_queries)
-    projected = np.cumsum(factor[n:, :n, None] * half_queries, axis=1)[:, -1]
-    return projected - cross_new, factor[n:, n:]
 
 
 def variance_reduction(model: GpModel, pp: PseudoPointSet, x: np.ndarray) -> float | np.ndarray:
@@ -205,11 +253,11 @@ def variance_reduction(model: GpModel, pp: PseudoPointSet, x: np.ndarray) -> flo
     never formed, and each result is a sum of squares and cannot go negative.
     """
     x = np.asarray(x, dtype=float)
+    queries = _queries(model, x)
     if len(pp) == 0:
-        return 0.0 if x.ndim == 1 else np.zeros(x.shape[0])
-    p_mat, s_lower = _p_and_s_factor(model, pp, x)
-    half = gp._forward_solve(s_lower, p_mat)
-    reduction = np.cumsum(half * half, axis=0)[-1]
+        reduction = np.zeros(len(queries))
+    else:
+        reduction = _reduction(*_own_p_and_s(model, pp, queries))
     return float(reduction[0]) if x.ndim == 1 else reduction
 
 
@@ -227,14 +275,14 @@ def mean_shift(
     array; a point gives the same bits alone as in a batch.
     """
     x = np.asarray(x, dtype=float)
+    queries = _queries(model, x)
     true_values = np.asarray(true_values, dtype=float).reshape(-1)
     if true_values.shape[0] != len(pp_hat):
         raise ValueError("true_values must have one entry per pseudo-point")
     if not np.isfinite(true_values).all():
         raise ValueError("true_values must be finite")
     if len(pp_hat) == 0:
-        return 0.0 if x.ndim == 1 else np.zeros(x.shape[0])
-    p_mat, s_lower = _p_and_s_factor(model, pp_hat, x)
-    weights = gp._cho_solve(s_lower, pp_hat.values - true_values)
-    shift = -np.cumsum(p_mat * weights[:, None], axis=0)[-1]
+        shift = np.zeros(len(queries))
+    else:
+        shift = _shift(*_own_p_and_s(model, pp_hat, queries), pp_hat.values - true_values)
     return float(shift[0]) if x.ndim == 1 else shift

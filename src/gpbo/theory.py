@@ -200,33 +200,40 @@ def _instance_reports(
     instance: TheoryInstance, tolerance: float = 1e-8
 ) -> tuple[CheckReport, CheckReport, CheckReport]:
     """The variance-reduction, mean-shift and correction-bound reports of one
-    instance, in that order, from one build and one augmentation per value
-    set.  A failed factorization skips all three."""
+    instance, in that order, from one build and one augmentation, whose
+    factor the true-value model and the closed forms share.  A failed
+    factorization skips all three."""
     names = ("variance_reduction_identity", "mean_shift_identity", "correction_bounds")
     try:
         model, pp, queries, rng = build_instance(instance)
-        true_values = pp.values + rng.normal(0.0, 0.5, size=len(pp))
         with_copied = pseudo.augmented_model(model, pp)
-        with_true = pseudo.augmented_model(model, replace(pp, values=true_values))
-        terms = pseudo.correction_terms(model, pp, queries) if len(pp) else None
     except gp.FactorizationError as exc:
         return tuple(CheckReport(name, False, math.inf, limit, instance.seed, {"skipped": str(exc)})
                      for name, limit in zip(names, (tolerance, tolerance, 0.0)))
+    true_values = pp.values + rng.normal(0.0, 0.5, size=len(pp))
+    # The same rows with the true values: with_copied's factor, other weights.
+    with_true = gp._extend(model, Dataset(pp.points, true_values), with_copied.factor,
+                           with_copied.jitter)
     _, base_var = gp.predict(model, queries)
     mu_hat, aug_var = gp.predict(with_copied, queries)
     mu_tilde, _ = gp.predict(with_true, queries)
-    reduction = pseudo.variance_reduction(model, pp, queries)
+    if len(pp):
+        p_mat, s_lower = pseudo._p_and_s(with_copied.factor, model.data.points, pp.points,
+                                         model.params, queries)
+        reduction = pseudo._reduction(p_mat, s_lower)
+        shift = pseudo._shift(p_mat, s_lower, pp.values - true_values)
+    else:
+        reduction = shift = np.zeros(len(queries))
     worst = float(np.max(np.abs(reduction - (base_var - aug_var))))
     low = float(np.min(reduction))
     variance = CheckReport(names[0], worst <= tolerance and low >= -1e-9, worst, tolerance,
                            instance.seed, {"min_reduction": low, "n_pseudo": len(pp), "tau": pp.tau})
-    shift = pseudo.mean_shift(model, pp, true_values, queries)
     worst = float(np.max(np.abs(shift - (mu_hat - mu_tilde))))
     mean = CheckReport(names[1], worst <= tolerance, worst, tolerance, instance.seed,
                        {"n_pseudo": len(pp), "tau": pp.tau})
-    if terms is None:
+    if not len(pp):
         return variance, mean, CheckReport(names[2], True, 0.0, 0.0, instance.seed, {"n_pseudo": 0})
-    p_mat, m_mat, _ = terms
+    m_mat = gp._cho_solve(s_lower, np.eye(len(pp)))
     max_p, max_m = float(np.max(np.abs(p_mat))), float(np.max(np.abs(m_mat)))
     p_excess = max_p - (math.sqrt(1.0 + instance.noise_variance) + 1e-8)
     m_excess = max_m - (1.0 / instance.noise_variance + 1e-6)
@@ -261,13 +268,14 @@ def check_mean_error_envelope(
     Each trial draws a function jointly from the GP prior on a dense slope
     grid, the base points and the pseudo locations.  The grid's prior, with
     1e-10 on the diagonal, is factored once per check; each trial adds its
-    base and pseudo rows by gp's block update, ``gp._augmented_factor``.  A
-    40-trial check at d = 1 took 12.3 ms, against 15.3 ms when every trial
-    built and factorized the whole joint covariance (minimum of 200
-    interleaved calls, one BLAS thread).  The realized
-    augmented-mean error at the query points (borrowed vs. true noisy
-    values, from the closed-form ``pseudo.mean_shift``) is compared against
-    the envelope evaluated with the grid-estimated slope bound.  The
+    base and pseudo rows by gp's block update, ``gp._augmented_factor``.  The
+    realized augmented-mean error at the query points (borrowed vs. true
+    noisy values) is the closed-form mean shift, read off one factor of the
+    noisy [base, pseudo] covariance; no trial builds a base model.  A 40-trial
+    check at d = 1 took 9.2 ms, against 11.8 ms with a base model and a
+    second block update per trial (minimum of 200 interleaved calls, one BLAS
+    thread).  The error is compared against the envelope evaluated with the
+    grid-estimated slope bound.  The
     envelope is probabilistic, so the check only asserts the exceedance
     fraction stays under ``threshold``.  An instance without pseudo-points
     (``tau`` or ``n_pseudo`` zero) has nothing to check and is rejected, as
@@ -290,6 +298,7 @@ def check_mean_error_envelope(
     grid = grid.reshape(-1, d)
     grid_prior = gp.build_model(Dataset(grid, np.zeros(len(grid))),
                                 replace(params, noise_variance=1e-10))
+    prior = gp.build_model(gp.empty_dataset(d), params)
     realized: list[float] = []
     bounds: list[float] = []
     for k in range(trials):
@@ -299,17 +308,21 @@ def check_mean_error_envelope(
         pp = pseudo._place(Dataset(base, np.zeros(instance.n_base)), parents, instance.tau,
                            domain, rng)
         queries = domain.sample(rng, 8)
-        factor, _ = gp._augmented_factor(grid_prior, np.vstack([base, pp.points]))
+        rows = np.vstack([base, pp.points])
+        factor, _ = gp._augmented_factor(grid_prior, rows)
         f_all = factor @ rng.standard_normal(factor.shape[0])
         n_b, n_p = instance.n_base, len(pp)
         f_grid, f_base, f_pseudo = np.split(f_all, [len(grid), len(grid) + n_b])
         slope = float(np.max(np.abs(np.diff(f_grid.reshape(d, -1))))) / step
 
         y_base = f_base + sigma * rng.standard_normal(n_b)
-        model = gp.build_model(Dataset(base, y_base), params)
-        pp = replace(pp, values=y_base[pp.parent_index])
         y_true = f_pseudo + sigma * rng.standard_normal(n_p)
-        worst = float(np.max(np.abs(pseudo.mean_shift(model, pp, y_true, queries))))
+        # The mean shift needs only the factor of the noisy [base, pseudo]
+        # covariance: no model of the base rows and their weights.
+        factor, _ = gp._augmented_factor(prior, rows)
+        p_mat, s_lower = pseudo._p_and_s(factor, base, pp.points, params, queries)
+        shift = pseudo._shift(p_mat, s_lower, y_base[pp.parent_index] - y_true)
+        worst = float(np.max(np.abs(shift)))
         realized.append(worst)
         bounds.append(mean_error_bound(n_p, pp.tau, slope, instance.noise_variance, n_p,
                                        theory.delta, d))

@@ -321,19 +321,29 @@ class TestVerifyCommand:
         assert len(payload["checks"]) == 31
         assert all("max_error" in c for c in payload["checks"])
 
-    def test_detects_perturbed_variance_reduction(self, monkeypatch):
+    @staticmethod
+    def verify_with_broken_core(monkeypatch, perturb):
+        """``gpbo verify`` with the closed forms' shared core, ``pseudo._p_and_s``,
+        returning ``perturb(P, S_factor)``; the names of the failed reports."""
         from gpbo import pseudo
 
-        original = pseudo.variance_reduction
+        original = pseudo._p_and_s
 
-        def broken(model, pp, x):
-            return original(model, pp, x) + 1e-5
+        def broken(*args):
+            return perturb(*original(*args))
 
-        monkeypatch.setattr(pseudo, "variance_reduction", broken)
+        monkeypatch.setattr(pseudo, "_p_and_s", broken)
         status, reports = cli.verify(seed=0, instances=5, envelope_trials=10)
         assert status == 1
-        failed = [r for r in reports if not r.passed]
-        assert any(r.name == "variance_reduction_identity" for r in failed)
+        return {r.name for r in reports if not r.passed}
+
+    def test_detects_perturbed_variance_reduction(self, monkeypatch):
+        failed = self.verify_with_broken_core(monkeypatch, lambda p, s: (p + 1e-5, s))
+        assert "variance_reduction_identity" in failed
+
+    def test_detects_perturbed_mean_shift(self, monkeypatch):
+        failed = self.verify_with_broken_core(monkeypatch, lambda p, s: (p, s * (1.0 + 1e-5)))
+        assert "mean_shift_identity" in failed
 
     def test_same_seed_replays_the_reports(self):
         """Two calls with one seed give equal reports, and each report carries

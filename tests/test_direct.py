@@ -445,6 +445,9 @@ class TestHullAgainstReference:
     @example(([1.0, 2.0, 4.0], [-0.0, 0.0, -0.0]))
     # The epsilon test rejects the smaller point, which is on the hull.
     @example(([1.0, 2.0], [0.0, -1.0]))
+    # A subnormal f_min: the last point's epsilon term overflows, and the
+    # test must not apply at its infinite right slope.
+    @example(([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], [1.0, 1.0, 1.0, 1.0, 1.0, 2.2250738585e-313, 1.0]))
     def test_same_selection_as_double_loop(self, cloud):
         measures, values = cloud
         assert direct._hull(measures, values) == reference_hull(measures, values)

@@ -141,6 +141,30 @@ class TestRunBopp:
         assert np.all(trace.delta_v >= 0.0)
         assert np.any(trace.delta_v > 0.0)
 
+    def test_two_factorizations_per_pseudo_round(self, monkeypatch):
+        # build_model and augmented_model factor once each; delta_v reads its
+        # blocks off the selection model's factor and has the public closed
+        # form's bits.
+        factored, augmented = [], []
+        original_factor, original_augment = gp._augmented_factor, pseudo.augmented_model
+
+        def counted(model, points):
+            factored.append(len(points))
+            return original_factor(model, points)
+
+        def kept(model, pp):
+            augmented.append((model, pp))
+            return original_augment(model, pp)
+
+        monkeypatch.setattr(gp, "_augmented_factor", counted)
+        monkeypatch.setattr(pseudo, "augmented_model", kept)
+        config = fast_config(pseudo=PseudoSchedule(tau0=0.01))
+        trace = run_bopp(make_synthetic("griewank"), config)
+        assert len(factored) == 2 * config.budget
+        assert np.all(trace.pseudo_counts > 0)
+        for (model, pp), x, dv in zip(augmented, trace.points, trace.delta_v):
+            assert np.float64(pseudo.variance_reduction(model, pp, x)).tobytes() == dv.tobytes()
+
     def test_fit_sees_true_observations_only(self, monkeypatch):
         """Hyper-parameter fitting must never receive pseudo rows."""
         obj = make_synthetic("griewank")

@@ -118,6 +118,19 @@ def test_one_build_per_instance():
     assert callers == {("theory.py", "_instance_reports")}
 
 
+def test_held_factors_are_not_refactored():
+    # The run loop and the verification suite hold the augmented factor and
+    # read the closed forms off it through pseudo's core; the public views,
+    # which factor again, are for callers that hold none.
+    for name in ("engine", "theory"):
+        for node in ast.walk(ast.parse((SOURCE / f"{name}.py").read_text())):
+            func = getattr(node, "func", None)
+            named = getattr(func, "id", None) or getattr(func, "attr", None)
+            if isinstance(node, ast.Call):
+                assert named not in {"variance_reduction", "mean_shift", "correction_terms"}, (
+                    f"{name}.py calls {named}")
+
+
 def test_one_fit_preset():
     # run_bopp builds each run's FitConfig from its domain; besides it, only
     # gp.fit's default argument constructs one.

@@ -368,14 +368,26 @@ class TestVarianceReduction:
 
     @pytest.mark.parametrize("n", [0, 4])
     def test_non_finite_query_rejected(self, n):
+        # The queries are checked before the empty set's zero answer.
         rng = np.random.default_rng(31)
         model, _ = make_model(rng, n=n)
-        pp = PseudoPointSet(np.array([[0.1, 0.2]]), np.array([0.5]), np.array([0]), 0.01)
-        for bad in (np.nan, np.inf):
-            with pytest.raises(ValueError, match="finite"):
-                pseudo.variance_reduction(model, pp, np.array([bad, 0.0]))
-            with pytest.raises(ValueError, match="finite"):
-                pseudo.mean_shift(model, pp, [0.0], np.array([[0.0, 0.0], [0.0, bad]]))
+        one = PseudoPointSet(np.array([[0.1, 0.2]]), np.array([0.5]), np.array([0]), 0.01)
+        for pp in (one, pseudo.empty_pseudo_set(2)):
+            values = pp.values - 0.5
+            for bad in (np.nan, np.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    pseudo.variance_reduction(model, pp, np.array([bad, 0.0]))
+                with pytest.raises(ValueError, match="finite"):
+                    pseudo.mean_shift(model, pp, values, np.array([[0.0, 0.0], [0.0, bad]]))
+                with pytest.raises(ValueError, match="finite"):
+                    pseudo.correction_terms(model, pp, np.array([[bad, 0.0]]))
+            for wide in (np.zeros(3), np.zeros((2, 3))):
+                with pytest.raises(ValueError, match="dimension"):
+                    pseudo.variance_reduction(model, pp, wide)
+                with pytest.raises(ValueError, match="dimension"):
+                    pseudo.mean_shift(model, pp, values, wide)
+                with pytest.raises(ValueError, match="dimension"):
+                    pseudo.correction_terms(model, pp, wide)
 
     def test_reduction_plus_augmented_equals_base(self):
         rng = np.random.default_rng(18)
@@ -403,6 +415,47 @@ class TestOneBlockUpdate:
             _, _, s_lower = pseudo.correction_terms(model, pp, rng.uniform(-1, 1, (3, d)))
             np.testing.assert_array_equal(s_lower, aug.factor[n:, n:])
 
+    def test_views_are_the_core_on_the_held_factor(self):
+        # Each public closed form is the core, pseudo._p_and_s, on the factor
+        # of the model augmented by the pseudo rows, byte for byte: with and
+        # without base rows, on the jittered joint factor, and for a point
+        # as for a batch.
+        rng = np.random.default_rng(33)
+        cases = []
+        for _ in range(20):
+            n, d = int(rng.integers(0, 13)), int(rng.integers(1, 4))
+            model, data = make_model(rng, n=n, d=d, noise=float(rng.uniform(1e-4, 1e-1)))
+            if n:
+                pp = generated(rng, data, tau0=float(rng.uniform(0.005, 0.08)))
+            else:
+                l = int(rng.integers(1, 7))
+                pp = PseudoPointSet(rng.uniform(-1, 1, (l, d)), rng.normal(size=l),
+                                    np.zeros(l, dtype=int), 0.0)
+            cases.append((model, pp))
+        params = KernelParams(lengthscales=np.array([0.5]), amplitude=1.0, noise_variance=1e-17)
+        cases.append((gp.build_model(Dataset(np.array([[0.3], [0.9]]), [0.1, 0.4]), params),
+                      PseudoPointSet(np.array([[0.3]]), np.array([0.1]), np.array([0]), 0.0)))
+        assert pseudo.augmented_model(*cases[-1]).jitter > 0.0
+        assert any(len(model) == 0 for model, _ in cases)
+        for model, pp in cases:
+            queries = rng.uniform(-1, 1, (5, model.params.dimension))
+            true_vals = pp.values + rng.normal(0, 0.5, size=len(pp))
+            held = pseudo.augmented_model(model, pp).factor
+            p_mat, s_lower = pseudo._p_and_s(held, model.data.points, pp.points, model.params,
+                                             queries)
+            reduction = pseudo._reduction(p_mat, s_lower)
+            shift = pseudo._shift(p_mat, s_lower, pp.values - true_vals)
+            assert pseudo.variance_reduction(model, pp, queries).tobytes() == reduction.tobytes()
+            assert pseudo.mean_shift(model, pp, true_vals, queries).tobytes() == shift.tobytes()
+            point = pseudo.variance_reduction(model, pp, queries[0])
+            assert np.float64(point).tobytes() == reduction[:1].tobytes()
+            point = pseudo.mean_shift(model, pp, true_vals, queries[0])
+            assert np.float64(point).tobytes() == shift[:1].tobytes()
+            m_mat = gp._cho_solve(s_lower, np.eye(len(pp)))
+            for got, want in zip(pseudo.correction_terms(model, pp, queries),
+                                 (p_mat, m_mat, s_lower)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 class TestCorrectionBounds:
     def test_p_and_m_envelopes(self):
@@ -415,6 +468,15 @@ class TestCorrectionBounds:
             p_mat, m_mat, _ = pseudo.correction_terms(model, pp, queries)
             assert np.max(np.abs(p_mat)) <= np.sqrt(1.0 + noise) + 1e-8
             assert np.max(np.abs(m_mat)) <= 1.0 / noise + 1e-6
+
+
+    def test_empty_set_gives_empty_terms(self):
+        rng = np.random.default_rng(34)
+        model, _ = make_model(rng)
+        p_mat, m_mat, s_lower = pseudo.correction_terms(
+            model, pseudo.empty_pseudo_set(2), rng.uniform(-1, 1, (4, 2)))
+        assert p_mat.shape == (0, 4)
+        assert m_mat.shape == s_lower.shape == (0, 0)
 
 
 class TestMeanShift:

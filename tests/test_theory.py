@@ -131,11 +131,31 @@ class TestIdentitySuite:
                      check_correction_bounds(inst)]
             assert reports[3 * i:3 * i + 3] == views
 
+    def test_two_factorizations_per_instance(self, monkeypatch):
+        # One for the base model and one for the borrowed-value augmentation:
+        # the true-value model and the closed forms reuse the latter's factor.
+        calls = count_factorizations(monkeypatch)
+        run_identity_suite(seed=3, instances=4)
+        assert len(calls) == 2 * 4
+
     def test_reports_serializable(self):
         reports = run_identity_suite(seed=1, instances=2)
         for r in reports:
             d = r.to_dict()
             assert {"name", "passed", "max_error", "seed"} <= set(d)
+
+
+def count_factorizations(monkeypatch):
+    """A list that gets one entry per ``gp._augmented_factor`` call from now on."""
+    calls = []
+    original = gp._augmented_factor
+
+    def counted(model, points):
+        calls.append(len(points))
+        return original(model, points)
+
+    monkeypatch.setattr(gp, "_augmented_factor", counted)
+    return calls
 
 
 def slope_grid(d):
@@ -234,6 +254,15 @@ class TestMeanErrorEnvelope:
             rows = np.vstack([grid, points])
             expected = gp.kernel_matrix(rows, rows, params) + 1e-10 * np.eye(len(rows))
             np.testing.assert_allclose(factor @ factor.T, expected, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("trials", [1, 6])
+    def test_two_factorizations_per_trial(self, trials, monkeypatch):
+        # The grid's prior once per check; per trial, the prior draw's rows on
+        # that factor and the mean shift's factor of the [base, pseudo] rows.
+        instance = TheoryInstance(dimension=2, n_base=4, n_pseudo=3, tau=0.05, seed=7)
+        calls = count_factorizations(monkeypatch)
+        check_mean_error_envelope(instance, trials=trials, theory=TheoryParams())
+        assert calls == [2 * 96] + [4 + 3] * (2 * trials)
 
     @pytest.mark.parametrize("sizes", [dict(tau=0.0, n_pseudo=2), dict(tau=0.05, n_pseudo=0)],
                              ids=["tau0", "no-pseudo"])
