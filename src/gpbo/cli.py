@@ -131,6 +131,10 @@ class ExperimentConfig:
         if self.objective == "external":
             if self.external is None:
                 raise ValueError("external objective requires a command and bounds")
+        elif self.external is not None:
+            raise ValueError(
+                f"an external block needs objective 'external', got {self.objective!r}"
+            )
         elif self.objective not in SYNTHETIC_NAMES:
             raise ValueError(
                 f"unknown objective {self.objective!r}; valid names: "
@@ -249,8 +253,6 @@ def _one_run(config: ExperimentConfig, algo: AlgorithmSpec, repeat: int) -> Regr
 
 
 def _fmt(value: float) -> str:
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
     return f"{value:.17g}"
 
 

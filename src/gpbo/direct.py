@@ -16,10 +16,9 @@ iteration reads the best rectangle of every size off the heap tops instead
 of re-sorting all rectangles.  A selected rectangle leaves its heap before it
 is split, so every heap entry is current.  One monotone-chain pass over the
 tops drops each top that lies above a chord of two others; only the rest get
-the full hull and epsilon test, and one that fails the epsilon test at the
-slope to its chain successor skips its right scan.  Sample positions depend
-only on rectangle geometry, so all trisection samples of one iteration are
-scored in a single batched call.
+the reference test, the full slope scans and the epsilon test.  Sample
+positions depend only on rectangle geometry, so all trisection samples of one
+iteration are scored in a single batched call.
 """
 
 from __future__ import annotations
@@ -91,27 +90,18 @@ def _hull(measures: list[float], values: list[float]) -> list[int]:
             mi, vi, _, to_left = chain[-1]
         chain.append((ml, vl, l, slope))
     f_min = min(values)
-
-    def fails(mi, vi, right):
-        """The epsilon test fails; it only gets harder as ``right`` falls."""
-        if f_min != 0.0:
-            return not _EPSILON <= (f_min - vi) / abs(f_min) + mi * right / abs(f_min)
-        return not vi - mi * right <= 0.0
-
     selected = []
-    for c, (mi, vi, i, _) in enumerate(chain):
-        # The right scan below includes the slope to the chain successor, which
-        # the chain stored by the scan's own expression, so right <= bound: a
-        # point failing the test at bound skips the scan, and one passing it
-        # is tested again only if rounding put right below bound.  At an
-        # infinite slope the test does not apply: with a subnormal f_min it
-        # would read inf - inf.
-        bound = chain[c + 1][3] if c + 1 < len(chain) else math.inf
-        if bound < math.inf and fails(mi, vi, bound):
-            continue
+    for mi, vi, i, _ in chain:
         right = min([(vi - vj) / (mi - mj) for mj, vj in points[i + 1 :]] or [math.inf])
-        if right < bound and fails(mi, vi, right) and not math.isinf(right):
-            continue
+        # The epsilon test does not apply at an infinite slope: with a
+        # subnormal f_min it would read inf - inf.
+        if math.isfinite(right):
+            if f_min != 0.0:
+                ok = _EPSILON <= (f_min - vi) / abs(f_min) + mi * right / abs(f_min)
+            else:
+                ok = vi - mi * right <= 0.0
+            if not ok:
+                continue
         left = max([(vi - vj) / (mi - mj) for mj, vj in points[:i]] or [-math.inf])
         if left <= right:
             selected.append(i)

@@ -292,6 +292,16 @@ def _forward_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return dtrsm(1.0, factor.T, rhs.T, side=1, lower=0).T
 
 
+def _query_rows(model: GpModel, x: np.ndarray) -> np.ndarray:
+    """``x`` as rows (m, d), rejected unless finite and of the model's width."""
+    queries = np.atleast_2d(np.asarray(x, dtype=float))
+    if queries.ndim != 2 or queries.shape[1] != model.params.dimension:
+        raise ValueError("query dimension does not match the model")
+    if not np.isfinite(queries).all():
+        raise ValueError("queries must be finite")
+    return queries
+
+
 def predict(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance at each row of ``queries`` (m, d).
 
@@ -303,11 +313,7 @@ def predict(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Variances are clamped at zero; the pre-clamp value never drops below the
     numerical floor exercised in the test suite.
     """
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
-    if queries.shape[1] != model.params.dimension:
-        raise ValueError("query dimension does not match the model")
-    if not np.isfinite(queries).all():
-        raise ValueError("queries must be finite")
+    queries = _query_rows(model, queries)
     amp = model.params.amplitude
     if len(model) == 0:
         m = queries.shape[0]

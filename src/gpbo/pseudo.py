@@ -161,16 +161,6 @@ def augmented_model(model: GpModel, pp: PseudoPointSet) -> GpModel:
     return gp.augment(model, Dataset(pp.points, pp.values))
 
 
-def _queries(model: GpModel, x: np.ndarray) -> np.ndarray:
-    """``x`` as rows (m, d), rejected unless finite and of the model's width."""
-    queries = np.atleast_2d(np.asarray(x, dtype=float))
-    if queries.ndim != 2 or queries.shape[1] != model.params.dimension:
-        raise ValueError("query dimension does not match the model")
-    if not np.isfinite(queries).all():
-        raise ValueError("queries must be finite")
-    return queries
-
-
 def _p_and_s(
     factor: np.ndarray,
     base_points: np.ndarray,
@@ -237,7 +227,7 @@ def correction_terms(
     elementwise bound on it: here, and in the identity check, which reads
     P and S_factor off the factor of the model it augmented.
     """
-    queries = _queries(model, queries)
+    queries = gp._query_rows(model, queries)
     if len(pp) == 0:
         return np.empty((0, len(queries))), np.empty((0, 0)), np.empty((0, 0))
     p_mat, s_lower = _own_p_and_s(model, pp, queries)
@@ -253,7 +243,7 @@ def variance_reduction(model: GpModel, pp: PseudoPointSet, x: np.ndarray) -> flo
     never formed, and each result is a sum of squares and cannot go negative.
     """
     x = np.asarray(x, dtype=float)
-    queries = _queries(model, x)
+    queries = gp._query_rows(model, x)
     if len(pp) == 0:
         reduction = np.zeros(len(queries))
     else:
@@ -275,7 +265,7 @@ def mean_shift(
     array; a point gives the same bits alone as in a batch.
     """
     x = np.asarray(x, dtype=float)
-    queries = _queries(model, x)
+    queries = gp._query_rows(model, x)
     true_values = np.asarray(true_values, dtype=float).reshape(-1)
     if true_values.shape[0] != len(pp_hat):
         raise ValueError("true_values must have one entry per pseudo-point")

@@ -55,8 +55,9 @@ class TheoryParams:
     delta: float = 0.1
 
     def __post_init__(self):
-        if min(self.tail_a, self.tail_b, self.domain_width) <= 0:
-            raise ValueError("all theory constants must be positive")
+        constants = (self.tail_a, self.tail_b, self.domain_width)
+        if not all(0 < c < math.inf for c in constants):
+            raise ValueError("all theory constants must be positive and finite")
         if not (0.0 < self.delta < 1.0):
             raise ValueError("delta must lie strictly inside (0, 1)")
 
@@ -155,8 +156,8 @@ class TheoryInstance:
     def __post_init__(self):
         if self.dimension < 1 or self.n_base < 1 or self.n_pseudo < 0:
             raise ValueError("dimension and n_base must be >= 1, n_pseudo >= 0")
-        if self.tau < 0 or self.noise_variance <= 0:
-            raise ValueError("tau must be >= 0 and noise_variance > 0")
+        if not (0 <= self.tau < math.inf and 0 < self.noise_variance < math.inf):
+            raise ValueError("tau must be finite and >= 0, noise_variance finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -271,15 +272,12 @@ def check_mean_error_envelope(
     base and pseudo rows by gp's block update, ``gp._augmented_factor``.  The
     realized augmented-mean error at the query points (borrowed vs. true
     noisy values) is the closed-form mean shift, read off one factor of the
-    noisy [base, pseudo] covariance; no trial builds a base model.  A 40-trial
-    check at d = 1 took 9.2 ms, against 11.8 ms with a base model and a
-    second block update per trial (minimum of 200 interleaved calls, one BLAS
-    thread).  The error is compared against the envelope evaluated with the
-    grid-estimated slope bound.  The
-    envelope is probabilistic, so the check only asserts the exceedance
-    fraction stays under ``threshold``.  An instance without pseudo-points
-    (``tau`` or ``n_pseudo`` zero) has nothing to check and is rejected, as
-    is a ``trials`` count below one.
+    noisy [base, pseudo] covariance; no trial builds a base model.  The
+    error is compared against the envelope evaluated with the grid-estimated
+    slope bound.  The envelope is probabilistic, so the check only asserts
+    the exceedance fraction stays under ``threshold``.  An instance without
+    pseudo-points (``tau`` or ``n_pseudo`` zero) has nothing to check and is
+    rejected, as is a ``trials`` count below one.
     """
     if instance.tau == 0.0 or instance.n_pseudo == 0:
         raise ValueError("the mean-error envelope needs tau > 0 and n_pseudo > 0")

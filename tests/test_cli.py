@@ -497,6 +497,8 @@ class TestMainEntry:
           "external": {"command": "echo 1", "lower": [0], "upper": ["1"]}},
          r"external key 'upper' must be a list of numbers, got \['1'\]"),
         ({"seed": -1}, "seed must be non-negative, got -1"),
+        ({"objective": "griewank", "external": {"command": "echo 1", "lower": [0], "upper": [1]}},
+         "an external block needs objective 'external', got 'griewank'"),
     ], ids=["external-bounds", "acquisition-missing", "acquisition-unknown", "tau0-negative",
             "budget-type", "objective-unknown", "external-block-missing", "bool-from-string",
             "bool-from-int", "int-from-bool", "float-from-bool", "algorithm-float-from-bool",
@@ -506,7 +508,7 @@ class TestMainEntry:
             "jobs-zero", "algorithm-name-duplicate", "algorithms-number", "algorithms-string",
             "algorithm-entry-number", "objective-number", "algorithm-name-number", "out-dir-number", "external-list",
             "external-command-empty", "external-command-number", "external-lower-number",
-            "external-upper-strings", "seed-negative"])
+            "external-upper-strings", "seed-negative", "external-block-unused"])
     def test_run_rejects_malformed_config(self, tmp_path, block, message):
         config_path = tmp_path / "exp.json"
         config_path.write_text(json.dumps({"budget": 3, "repeats": 1, **block}))
@@ -519,6 +521,19 @@ class TestMainEntry:
         out_dir = tmp_path / "out"
         with pytest.raises(ValueError, match="unknown objective 'dropwav'"):
             cli.main(["run", "--objective", "dropwav", "--out", str(out_dir)])
+        assert not out_dir.exists()
+
+    def test_run_rejects_objective_flag_beside_external_block(self, tmp_path):
+        config_path = tmp_path / "ext.json"
+        config_path.write_text(json.dumps({
+            "objective": "external",
+            "external": {"command": "echo 1", "lower": [0], "upper": [1]},
+        }))
+        out_dir = tmp_path / "out"
+        with pytest.raises(ValueError, match="an external block needs objective 'external', "
+                                             "got 'griewank'"):
+            cli.main(["run", "--config", str(config_path), "--objective", "griewank",
+                      "--out", str(out_dir)])
         assert not out_dir.exists()
 
     def test_run_rejects_duplicate_algorithm_flag(self, tmp_path):

@@ -452,48 +452,24 @@ class TestHullAgainstReference:
         measures, values = cloud
         assert direct._hull(measures, values) == reference_hull(measures, values)
 
-
-def fails_epsilon_test(measures, values, pos, right, epsilon=1e-4):
-    """The epsilon test of ``reference_hull`` for point ``pos`` at slope ``right``."""
-    f_min, measure, value = min(values), measures[pos], values[pos]
-    if f_min != 0.0:
-        return not epsilon <= (f_min - value) / abs(f_min) + measure * right / abs(f_min)
-    return not value - measure * right <= 0.0
-
-
-class TestSuccessorBound:
-    # Each cloud has chain points that fail the epsilon test at the slope to
-    # their chain successor, given as (point, successor), so _hull skips their
-    # right scans; in the last two another chain point passes and is selected.
-    @pytest.mark.parametrize("cloud, failing", [
-        (([1.0, 2.0], [0.0, -1.0]), [(0, 1)]),
-        (([1.0, 2.0, 3.0, 4.0], [0.0, -0.5, -0.9, -1.0]), [(0, 1), (1, 2), (2, 3)]),
+    # Clouds whose chain points fail the epsilon test at or near the slope to
+    # their chain successor; in the last three another chain point passes.
+    @pytest.mark.parametrize("measures, values", [
+        ([1.0, 2.0], [0.0, -1.0]),
+        ([1.0, 2.0, 3.0, 4.0], [0.0, -0.5, -0.9, -1.0]),
         # f_min == 0, with an exactly collinear chain.
-        (([1.0, 2.0, 3.0], [1.0, 0.5, 0.0]), [(0, 1), (1, 2)]),
+        ([1.0, 2.0, 3.0], [1.0, 0.5, 0.0]),
         # Point 3 is above the chord of 2 and 4, so 2's successor is 4.
-        (([1.0, 2.0, 3.0, 4.0, 5.0], [-3.0, -3.5, -3.6, -2.0, -3.61]), [(0, 1), (1, 2), (2, 4)]),
-        (([0.1, 0.2, 0.4, 0.8], [-1.0, -1.00001, -1.5, -1.2]), [(0, 2)]),
-        (([1.0, 2.0, 3.0, 4.0], [-4.0, -3.0, -3.9999, -1.0]), [(0, 2)]),
-    ])
-    def test_same_selection_as_double_loop(self, cloud, failing):
-        measures, values = cloud
-        for pos, successor in failing:
-            slope = (values[pos] - values[successor]) / (measures[pos] - measures[successor])
-            assert fails_epsilon_test(measures, values, pos, slope)
-        selected = direct._hull(measures, values)
-        assert selected == reference_hull(measures, values)
-        assert not set(selected) & {pos for pos, _ in failing}
-
-    def test_a_right_below_the_bound_is_tested_again(self):
+        ([1.0, 2.0, 3.0, 4.0, 5.0], [-3.0, -3.5, -3.6, -2.0, -3.61]),
+        ([0.1, 0.2, 0.4, 0.8], [-1.0, -1.00001, -1.5, -1.2]),
+        ([1.0, 2.0, 3.0, 4.0], [-4.0, -3.0, -3.9999, -1.0]),
         # Points 1, 2, 3 and 4 are collinear up to rounding.  The chain drops 2,
         # so 1's successor is 3, but 1's slope to 2 rounds one ulp below its
-        # slope to 3: point 1 passes the epsilon test at that bound and fails
-        # it at the full scan's right.
-        measures = [1e-06, 5.0, 15.0, 17.0, 29.0]
-        values = [2.3880460419742606, 6.196882135119574, 13.815031930618595,
-                  15.338661889718399, 24.480441644317224]
-        to_2, to_3 = ((values[1] - values[j]) / (measures[1] - measures[j]) for j in (2, 3))
-        assert to_2 < to_3
-        assert fails_epsilon_test(measures, values, 1, to_2)
-        assert not fails_epsilon_test(measures, values, 1, to_3)
-        assert direct._hull(measures, values) == reference_hull(measures, values) == [3, 4]
+        # slope to 3, and point 1 fails the epsilon test only at the lower one.
+        ([1e-06, 5.0, 15.0, 17.0, 29.0],
+         [2.3880460419742606, 6.196882135119574, 13.815031930618595,
+          15.338661889718399, 24.480441644317224]),
+    ], ids=["two-points", "falling", "zero-f-min", "chord", "near-tie", "far-successor",
+            "one-ulp"])
+    def test_pinned_cloud(self, measures, values):
+        assert direct._hull(measures, values) == reference_hull(measures, values)

@@ -323,3 +323,20 @@ class TestInstanceValidation:
             TheoryInstance(noise_variance=0.0)
         with pytest.raises(ValueError):
             TheoryInstance(tau=-0.1)
+
+    @pytest.mark.parametrize("values", [
+        {"tau": math.nan}, {"tau": math.inf}, {"noise_variance": math.nan},
+        {"noise_variance": math.inf},
+    ], ids=["tau-nan", "tau-inf", "noise-nan", "noise-inf"])
+    def test_rejects_non_finite_values(self, values):
+        with pytest.raises(ValueError, match="tau must be finite and >= 0, "
+                                             "noise_variance finite and > 0"):
+            TheoryInstance(**values)
+
+    @pytest.mark.parametrize("values", [
+        {"tail_a": math.nan}, {"tail_b": math.nan}, {"domain_width": math.inf},
+        {"tail_a": 0.0}, {"domain_width": -1.0},
+    ], ids=["tail-a-nan", "tail-b-nan", "width-inf", "tail-a-zero", "width-negative"])
+    def test_params_reject_bad_constants(self, values):
+        with pytest.raises(ValueError, match="all theory constants must be positive and finite"):
+            TheoryParams(**values)
