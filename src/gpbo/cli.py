@@ -358,14 +358,73 @@ class SummaryRow:
     single_repeat: bool
 
 
-def _load_rows(out_dir: Path) -> tuple[list[dict], str]:
+def _load_rows(out_dir: Path) -> tuple[list[dict], dict]:
     rows_path = out_dir / "rows.csv"
     if not rows_path.exists():
         raise FileNotFoundError(f"no rows.csv under {out_dir}")
     with rows_path.open() as handle:
         rows = list(csv.DictReader(handle))
-    config = json.loads((out_dir / "config.json").read_text())
-    return rows, config["objective"]
+    return rows, json.loads((out_dir / "config.json").read_text())
+
+
+_BOOTSTRAP_RESAMPLES = 10_000
+
+
+@dataclass(frozen=True)
+class _Paired:
+    """Paired comparison of a candidate's runs with a baseline's on shared seeds.
+
+    ``mean`` is the mean of candidate - baseline final values, and
+    ``ci_low``/``ci_high`` its bootstrap 95 % interval.  ``wins`` counts the
+    repeats where the candidate's final value is better, ``ties`` those where
+    it is equal.  ``divergence`` gives, per repeat in order, the first
+    iteration (from 1) whose selected points differ, or None.
+    """
+
+    mean: float
+    ci_low: float
+    ci_high: float
+    wins: int
+    ties: int
+    losses: int
+    divergence: tuple[int | None, ...]
+
+
+def _paired(candidate: dict[int, tuple[np.ndarray, np.ndarray]],
+            baseline: dict[int, tuple[np.ndarray, np.ndarray]],
+            lower_is_better: bool = True) -> _Paired:
+    """Compare two {repeat: (curve, points)} maps run on the same seeds.
+
+    A curve holds one metric value per iteration, simple regret by default,
+    and its last entry is the run's final value; points holds the selected
+    point of each iteration, one row each.  The interval draws
+    ``_BOOTSTRAP_RESAMPLES`` resamples of the repeats from a generator
+    seeded with 0, so the same runs always give the same interval.
+    """
+    repeats = sorted(candidate)
+    if not repeats or sorted(baseline) != repeats:
+        raise ValueError("paired runs need the same non-empty set of repeats")
+    diffs = np.array([candidate[r][0][-1] - baseline[r][0][-1] for r in repeats])
+    better = diffs < 0 if lower_is_better else diffs > 0
+    draws = np.random.default_rng(0).integers(0, len(diffs), (_BOOTSTRAP_RESAMPLES, len(diffs)))
+    low, high = np.percentile(diffs[draws].mean(axis=1), [2.5, 97.5])
+    divergence = []
+    for r in repeats:
+        differs = np.flatnonzero(np.any(candidate[r][1] != baseline[r][1], axis=1))
+        divergence.append(int(differs[0]) + 1 if differs.size else None)
+    return _Paired(float(np.mean(diffs)), float(low), float(high), int(np.sum(better)),
+                   int(np.sum(diffs == 0)), int(np.sum(~better & (diffs != 0))), tuple(divergence))
+
+
+def _write_paired(path: Path, metric: str, comparisons: dict[tuple[str, str], _Paired]) -> None:
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(["algorithm", "baseline", "metric", "pairs", "mean_diff", "ci_low",
+                         "ci_high", "wins", "ties", "losses", "first_divergence"])
+        for (name, base), p in comparisons.items():
+            writer.writerow([name, base, metric, len(p.divergence), _fmt(p.mean), _fmt(p.ci_low),
+                             _fmt(p.ci_high), p.wins, p.ties, p.losses,
+                             " ".join("-" if it is None else str(it) for it in p.divergence)])
 
 
 def summarize(out_dir: str | Path) -> list[SummaryRow]:
@@ -373,11 +432,15 @@ def summarize(out_dir: str | Path) -> list[SummaryRow]:
 
     Writes ``summary.csv`` / ``summary.txt`` (terminal metric, mean and
     sample std over repeats) and ``curves.csv`` (per-iteration mean and the
-    quarter-std band used for plotting).  Raises if the rectangle of
-    (algorithm, repeat, iteration) cells is ragged.
+    quarter-std band used for plotting).  Each algorithm with pseudo-points
+    (tau0 > 0) whose tau0 = 0 sibling, the first with the same acquisition,
+    is also present is compared with it repeat by repeat in ``paired.csv``
+    (see ``_paired``).  Raises if the rectangle of (algorithm, repeat,
+    iteration) cells is ragged.
     """
     out = Path(out_dir)
-    rows, objective_name = _load_rows(out)
+    rows, config = _load_rows(out)
+    objective_name = config["objective"]
     if not rows:
         raise ValueError(f"no result rows under {out}; every run failed?")
     by_cell: dict[tuple[str, int], list[dict]] = {}
@@ -402,8 +465,10 @@ def summarize(out_dir: str | Path) -> list[SummaryRow]:
     )
     metric = "simple_regret" if use_regret else "best_y"
 
+    coords = [key for key in rows[0] if key[:1] == "x" and key[1:].isdigit()]
     summary_rows: list[SummaryRow] = []
     curve_records: list[tuple[str, int, float, float]] = []
+    runs: dict[str, dict[int, tuple[np.ndarray, np.ndarray]]] = {}
     for name in algorithms:
         per_iter: list[list[float]] = []
         terminals: list[float] = []
@@ -419,6 +484,8 @@ def summarize(out_dir: str | Path) -> list[SummaryRow]:
                     series.append(best)
             per_iter.append(series)
             terminals.append(series[-1])
+            points = np.array([[float(r[c]) for c in coords] for r in cell])
+            runs.setdefault(name, {})[rep] = (np.array(series), points)
         arr = np.array(per_iter)  # (repeats, iters)
         single = len(repeats) == 1
         std = 0.0 if single else float(np.std(terminals, ddof=1))
@@ -448,6 +515,16 @@ def summarize(out_dir: str | Path) -> list[SummaryRow]:
     for s in summary_rows:
         lines.append(f"{s.algorithm:<{width}}  {s.mean:>12.6f}  {s.std:>12.6f}  {s.metric}")
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
+
+    specs = [_algorithm_from(entry, "algorithms") for entry in config.get("algorithms", [])]
+    comparisons = {}
+    for spec in specs:
+        sibling = next((b for b in specs if b.acquisition == spec.acquisition and b.tau0 == 0), None)
+        if spec.tau0 > 0 and sibling is not None and {spec.name, sibling.name} <= runs.keys():
+            comparisons[(spec.name, sibling.name)] = _paired(runs[spec.name], runs[sibling.name],
+                                                             lower_is_better=use_regret)
+    if comparisons:
+        _write_paired(out / "paired.csv", metric, comparisons)
     return summary_rows
 
 

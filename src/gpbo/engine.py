@@ -13,13 +13,12 @@ disabling pseudo-points reproduces the plain loop draw-for-draw.
 The hyper-parameters are refit before every selection, each lengthscale
 within 5-100 % of its coordinate's side of the domain: one fit preset for
 ``gpbo run`` and library calls alike.  While the data holds fewer than 10*d
-points, and on every 5th data size after that, the refit is the full
-multi-start search.  On the other sizes it is the warm search from the
-previous optimum alone (``n_starts=1``), which takes no draws from the fit
-substream.  Each likelihood evaluation costs O(n^3), so the cut pays most
-late in a run.  The floor and the period are heuristics, not a property of
-the likelihood; their basis is paired regret runs at d = 2 (the criterion-5
-cells) and d = 6 (hart6 at budget 100), recorded in CHANGES.md.
+points the refit is the full multi-start search; from 10*d points on it is
+the warm search from the previous optimum alone (``n_starts=1``), which
+takes no draws from the fit substream.  Each likelihood evaluation costs
+O(n^3), so the cut pays most late in a run.  The floor is a heuristic, not
+a property of the likelihood; its basis is paired regret runs at d = 2 (the
+criterion-5 cells) and d = 6 (hart6 at budget 100), recorded in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from . import acquisition as acq
-from . import direct, gp, pseudo
+from . import direct, gp, objectives, pseudo
 from .gp import Dataset, FitConfig, KernelParams
 from .objectives import NoiseModel, Objective, observe
 from .pseudo import PseudoSchedule
@@ -41,10 +40,9 @@ __all__ = ["RunConfig", "RegretTrace", "run_bo", "run_bopp"]
 
 logger = logging.getLogger(__name__)
 
-# From _FULL_FIT_POINTS_PER_DIM * d data points on, only every
-# _FULL_FIT_EVERY-th data size gets a multi-start fit (see the module docstring).
+# From _FULL_FIT_POINTS_PER_DIM * d data points on, every fit is the warm
+# one-start search (see the module docstring).
 _FULL_FIT_POINTS_PER_DIM = 10
-_FULL_FIT_EVERY = 5
 
 # The acquisition search spends this many DIRECT evaluations per dimension.
 _DIRECT_EVALUATIONS_PER_DIM = 200
@@ -218,7 +216,7 @@ def run_bopp(objective: Objective, config: RunConfig) -> RegretTrace:
             scale = max(float(np.std(data.observations)), 1e-12)
             fit_data = Dataset(data.points, (data.observations - shift) / scale)
         if n:
-            full = n < _FULL_FIT_POINTS_PER_DIM * d or n % _FULL_FIT_EVERY == 0
+            full = n < _FULL_FIT_POINTS_PER_DIM * d
             try:
                 params = gp.fit(fit_data, params, fit_config if full else warm_config, fit_rng)
             except gp.FactorizationError as exc:
@@ -248,8 +246,8 @@ def run_bopp(objective: Objective, config: RunConfig) -> RegretTrace:
         _, sel_var = gp.posterior(selection_model, x_next)
         gain += 0.5 * math.log1p(sel_var / params.noise_variance)
 
-        y_next = observe(objective, noise, x_next)
-        f_next = objective.evaluate_true(x_next)
+        # One evaluation gives both: an external objective is one process a point.
+        f_next, y_next = objectives._measure(objective, noise, x_next)
 
         idx = t - 1
         out.points[idx] = x_next

@@ -10,7 +10,9 @@ The fit's searches run scipy's L-BFGS-B core (``setulb``, Byrd, Lu, Nocedal
 & Zhu 1995) from a short driver loop, ``minimize``.  It passes what
 ``scipy.optimize.minimize(method="L-BFGS-B")`` passes and returns the same
 bits, but skips that wrapper's per-call bookkeeping, which cost about as much
-as the likelihood itself on small data sets.
+as the likelihood itself on small data sets.  After an abnormal line search
+it reports the value at the ``x`` it returns, where scipy reports the last
+trial's value.
 
 The triangular and Cholesky solves of the model and the closed forms call
 LAPACK's ``dtrtrs`` and ``dpotrs`` directly, through ``_solve_triangular``
@@ -502,7 +504,10 @@ def minimize(fun, x0, args, bounds, max_iter, known=None) -> OptimizeResult:
     repeated request, so ``nfev`` counts what scipy's would.  ``known`` is
     ``(value, gradient)`` at ``x0`` if the caller has it already; it answers
     the first request and is not counted in ``nfev``.  ``fun`` gets a copy of
-    the core's ``x``.  The result has ``x``, ``fun`` and ``nfev``.
+    the core's ``x``.  The result has ``x``, ``fun`` and ``nfev``.  One
+    departure from scipy: after an abnormal line search the core restores the
+    previous iterate's ``x``, and ``fun`` is the value there, not the last
+    trial's.
     """
     x0 = np.asarray(x0, dtype=float).ravel()
     box = np.array(bounds, dtype=float)
@@ -524,6 +529,7 @@ def minimize(fun, x0, args, bounds, max_iter, known=None) -> OptimizeResult:
     seeded = known is not None and np.array_equal(x, x0)
     memo_x, memo = (x.tolist(), known) if seeded else (None, None)
     nfev = iterations = 0
+    f_iterate = None  # the value at the core's current iterate
     while True:
         setulb(m, x, low, high, nbd, f, g, _LBFGSB_FACTR, _LBFGSB_PGTOL, wa, iwa,
                task, lsave, isave, dsave, _LBFGSB_MAXLS, ln_task)
@@ -532,9 +538,12 @@ def minimize(fun, x0, args, bounds, max_iter, known=None) -> OptimizeResult:
                 memo_x, memo = x.tolist(), fun(x.copy(), *args)
                 nfev += 1
             f, grad = memo
+            if f_iterate is None:  # the first request is at the start
+                f_iterate = f
             # A copy: the core may write into g, and the memo must keep it.
             g = np.array(grad, dtype=float)
         elif task[0] == 1:  # NEW_X: an iteration is done
+            f_iterate = f
             iterations += 1
             if iterations >= max_iter:
                 task[:] = 5, 504  # STOP: iteration limit
@@ -542,7 +551,8 @@ def minimize(fun, x0, args, bounds, max_iter, known=None) -> OptimizeResult:
                 task[:] = 5, 502  # STOP: evaluation limit
         else:  # converged, stopped or abnormal
             break
-    return OptimizeResult(x=x, fun=f, nfev=nfev)
+    # ABNORMAL: the core restored the iterate's x, and its f only into its own scalar.
+    return OptimizeResult(x=x, fun=f_iterate if task[0] == 8 else f, nfev=nfev)
 
 
 def _pack(params: KernelParams, config: FitConfig) -> np.ndarray:

@@ -79,10 +79,17 @@ class NoiseModel:
 
 def observe(obj: Objective, noise: NoiseModel, x: np.ndarray) -> float:
     """Noisy measurement of the objective at an in-domain point."""
+    return _measure(obj, noise, x)[1]
+
+
+def _measure(obj: Objective, noise: NoiseModel, x: np.ndarray) -> tuple[float, float]:
+    """The true value at an in-domain point and its noisy measurement, from
+    one evaluation of the objective."""
     x = np.asarray(x, dtype=float).reshape(-1)
     if not obj.domain.contains(x):
         raise ValueError(f"point {x.tolist()} lies outside the domain of {obj.name}")
-    return obj.evaluate_true(x) + noise.draw()
+    value = obj.evaluate_true(x)
+    return value, value + noise.draw()
 
 
 # --- synthetic benchmarks ---------------------------------------------------

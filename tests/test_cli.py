@@ -310,6 +310,95 @@ class TestSummarize:
         assert (out / "summary.csv").read_text() == first
 
 
+def hand_built_runs(finals, diverge_at, budget=5):
+    """{repeat: (curve, points)}: curves falling to ``finals``, and points that
+    depart from a shared path at iteration ``diverge_at`` (None: never)."""
+    runs = {}
+    for rep, (final, at) in enumerate(zip(finals, diverge_at)):
+        curve = np.linspace(1.0, final, budget)
+        points = np.tile(np.arange(budget, dtype=float)[:, None], (1, 2))
+        if at is not None:
+            points[at - 1:, 1] += 0.5
+        runs[rep] = (curve, points)
+    return runs
+
+
+class TestPairedStatistics:
+    def test_known_wins_ties_losses_and_divergence(self):
+        candidate = hand_built_runs([0.1, 0.5, 0.3, 0.2], [3, None, 1, 5])
+        baseline = hand_built_runs([0.2, 0.5, 0.1, 0.4], [None] * 4)
+        paired = cli._paired(candidate, baseline)
+        assert (paired.wins, paired.ties, paired.losses) == (2, 1, 1)
+        assert paired.divergence == (3, None, 1, 5)
+        assert paired.mean == pytest.approx(-0.025)
+        assert paired.ci_low <= paired.mean <= paired.ci_high
+
+    def test_higher_is_better_swaps_wins_and_losses(self):
+        candidate = hand_built_runs([0.1, 0.5, 0.3, 0.2], [None] * 4)
+        baseline = hand_built_runs([0.2, 0.5, 0.1, 0.4], [None] * 4)
+        paired = cli._paired(candidate, baseline, lower_is_better=False)
+        assert (paired.wins, paired.ties, paired.losses) == (1, 1, 2)
+
+    def test_interval_covers_a_constructed_difference(self):
+        # Twenty differences of 0.5 +- 0.1: the mean is 0.5 and the spread is small.
+        noise = np.tile([-0.1, 0.1], 10)
+        baseline = hand_built_runs(np.linspace(0.0, 1.0, 20), [None] * 20)
+        candidate = hand_built_runs(np.linspace(0.0, 1.0, 20) + 0.5 + noise, [2] * 20)
+        paired = cli._paired(candidate, baseline)
+        assert paired.mean == pytest.approx(0.5)
+        assert 0.4 < paired.ci_low < 0.5 < paired.ci_high < 0.6
+        assert (paired.wins, paired.ties, paired.losses) == (0, 0, 20)
+        assert paired.divergence == (2,) * 20
+        assert cli._paired(candidate, baseline) == paired  # the resamples are seeded
+
+    def test_identical_runs_tie_everywhere(self):
+        runs = hand_built_runs([0.3, 0.1, 0.2], [None] * 3)
+        paired = cli._paired(runs, runs)
+        assert (paired.mean, paired.ci_low, paired.ci_high) == (0.0, 0.0, 0.0)
+        assert (paired.wins, paired.ties, paired.losses) == (0, 3, 0)
+        assert paired.divergence == (None, None, None)
+
+    def test_repeats_must_match(self):
+        runs = hand_built_runs([0.3, 0.1], [None] * 2)
+        with pytest.raises(ValueError, match="same"):
+            cli._paired(runs, {0: runs[0]})
+
+    def test_summarize_pairs_each_pp_algorithm_with_its_sibling(self, tmp_path):
+        config = tiny_config(tmp_path, algorithms=tuple(
+            AlgorithmSpec.parse(a) for a in ("ucb", "pi", "ucb-pp0001", "pi-pp01", "ei-pp01")))
+        run_experiment(config)
+        out = Path(config.out_dir)
+        rows = read_csv(out / "rows.csv")
+        runs = {}
+        for name in ("ucb", "pi", "ucb-pp0001", "pi-pp01"):
+            for rep in range(config.repeats):
+                cell = [r for r in rows if r["algorithm"] == name and r["repeat"] == str(rep)]
+                runs.setdefault(name, {})[rep] = (
+                    np.array([float(r["simple_regret"]) for r in cell]),
+                    np.array([[float(r["x0"]), float(r["x1"])] for r in cell]))
+        paired = read_csv(out / "paired.csv")
+        # ei-pp01 has no ei sibling, so it gets no row.
+        assert [(p["algorithm"], p["baseline"]) for p in paired] == [
+            ("ucb-pp0001", "ucb"), ("pi-pp01", "pi")]
+        for row in paired:
+            expected = cli._paired(runs[row["algorithm"]], runs[row["baseline"]])
+            assert row["metric"] == "simple_regret"
+            assert row["pairs"] == str(config.repeats)
+            assert float(row["mean_diff"]) == expected.mean
+            assert (float(row["ci_low"]), float(row["ci_high"])) == (expected.ci_low,
+                                                                     expected.ci_high)
+            assert (int(row["wins"]), int(row["ties"]), int(row["losses"])) == (
+                expected.wins, expected.ties, expected.losses)
+            assert row["first_divergence"].split() == [
+                "-" if it is None else str(it) for it in expected.divergence]
+
+    def test_no_paired_file_without_a_pair(self, tmp_path):
+        config = tiny_config(tmp_path, algorithms=(AlgorithmSpec.parse("ucb"),
+                                                   AlgorithmSpec.parse("pi-pp01")))
+        run_experiment(config)
+        assert not (Path(config.out_dir) / "paired.csv").exists()
+
+
 class TestVerifyCommand:
     def test_passes_on_correct_build(self, tmp_path):
         report = tmp_path / "report.json"

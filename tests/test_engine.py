@@ -1,6 +1,7 @@
 """Run-loop behavior: determinism, pairing, regret bookkeeping, bound math."""
 
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from gpbo import direct, engine, gp, pseudo
 from gpbo.engine import RegretTrace, RunConfig, run_bo, run_bopp
 from gpbo.domain import BoxDomain
-from gpbo.objectives import Objective, make_synthetic
+from gpbo.objectives import Objective, external_objective, make_synthetic
 from gpbo.pseudo import PseudoSchedule
 from gpbo.theory import TheoryParams, evaluate_regret_bound, mean_error_bound
 
@@ -199,25 +200,28 @@ class TestRunBopp:
         assert all(rng is streams[0] for rng in streams)
 
     @pytest.mark.parametrize("initial_points, budget", [(5, 10), (17, 9)])
-    def test_warm_only_fits_past_ten_d_points_off_every_fifth_size(
-        self, monkeypatch, initial_points, budget
-    ):
-        """Griewank has d = 2, so 5 initial points and a budget of 10 never
-        reach 20 points and make only full fits."""
+    def test_full_fits_only_below_ten_d_points(self, monkeypatch, initial_points, budget):
+        """Griewank has d = 2: a fit restarts at random iff the data holds
+        fewer than 20 points, and from 20 points on it takes no draws from
+        the fit substream.  5 initial points and a budget of 10 never reach
+        20 points; 17 and 9 cross the floor."""
         seen = []
         original_fit = gp.fit
 
         def recording_fit(data, init, config, rng=None):
-            seen.append((len(data), config.n_starts))
-            return original_fit(data, init, config, rng)
+            before = rng.bit_generator.state
+            result = original_fit(data, init, config, rng)
+            seen.append((len(data), config.n_starts, rng.bit_generator.state == before))
+            return result
 
         monkeypatch.setattr(gp, "fit", recording_fit)
         cfg = fast_config(budget=budget, initial_points=initial_points)
         run_bo(make_synthetic("griewank"), cfg)
         sizes = initial_points + np.arange(budget)
-        full = gp.FitConfig().n_starts
-        assert full > 1
-        assert seen == [(n, full if n < 20 or n % 5 == 0 else 1) for n in sizes]
+        assert [n for n, _, _ in seen] == sizes.tolist()
+        for n, n_starts, no_draws in seen:
+            assert (n_starts > 1) == (n < 20)
+            assert no_draws == (n >= 20)
 
     def test_each_coordinate_gets_its_own_lengthscale_box(self, monkeypatch):
         """On [0, 1] x [0, 100], coordinate j's lengthscales lie in 5-100 % of its side."""
@@ -284,6 +288,37 @@ class TestRunBopp:
         _, v_base = gp.predict(model, probes)
         _, v_aug = gp.predict(aug, probes)
         assert np.all(v_aug <= v_base + 1e-9)
+
+
+class TestObjectiveCalls:
+    """Each point is evaluated once: an initial point for its observation, an
+    iteration's point for both its observation and its true value."""
+
+    @staticmethod
+    def counted(obj: Objective) -> tuple[Objective, list[int]]:
+        calls = []
+
+        def batch(z):
+            calls.append(len(z))
+            return obj.batch_evaluate(z)
+
+        return replace(obj, batch_evaluate=batch), calls
+
+    def test_synthetic(self):
+        obj, calls = self.counted(make_synthetic("dropwave"))
+        trace = run_bopp(obj, fast_config(budget=5, initial_points=3,
+                                          pseudo=PseudoSchedule(tau0=0.01)))
+        assert calls == [1] * (3 + 5)
+        np.testing.assert_array_equal(trace.true_values, make_synthetic("dropwave")
+                                      .batch_evaluate(trace.points))
+
+    def test_external(self):
+        script = "import sys; print(-sum(float(v) ** 2 for v in sys.stdin.read().split()))"
+        command = f"{sys.executable} -c \"{script}\""
+        obj, calls = self.counted(external_objective(command, BoxDomain(-np.ones(2), np.ones(2))))
+        trace = run_bo(obj, fast_config(budget=3, initial_points=2))
+        assert calls == [1] * (2 + 3)
+        np.testing.assert_allclose(trace.true_values, -np.sum(trace.points**2, axis=1))
 
 
 class TestFitFallback:

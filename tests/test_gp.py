@@ -714,24 +714,32 @@ def likelihood_search(seed, d, n, fixed):
     return x0, args, bounds
 
 
-def assert_same_search_as_scipy(seed, d, n, fixed, max_iter):
+def assert_same_search(fun, x0, args, bounds, max_iter):
     """``gp.minimize`` against scipy's L-BFGS-B, with and without a known start
-    value; returns scipy's exit message."""
-    x0, args, bounds = likelihood_search(seed, d, n, fixed)
-    ref = scipy_minimize(gp._nll_and_grad, x0, args=args, method="L-BFGS-B", jac=True,
+    value; returns scipy's result.
+
+    ``x`` and ``nfev`` match scipy's bit for bit on every exit, and so does
+    ``fun`` except after an abnormal line search.  There the core restores the
+    previous iterate, and ``fun`` is the value at that ``x`` exactly, where
+    scipy's is the last trial's.
+    """
+    ref = scipy_minimize(fun, x0, args=args, method="L-BFGS-B", jac=True,
                          bounds=bounds, options={"maxiter": max_iter})
-    res = gp.minimize(gp._nll_and_grad, x0, args, bounds, max_iter)
-    assert res.x.tobytes() == ref.x.tobytes()
-    assert np.float64(res.fun).tobytes() == np.float64(ref.fun).tobytes()
-    assert res.nfev == ref.nfev
+    expected = fun(ref.x, *args)[0] if ref.message.startswith("ABNORMAL") else ref.fun
     # A value known at the start answers the first request, if the start is in the box.
     inside = np.array_equal(np.clip(x0, *np.array(bounds).T), x0)
-    seeded = gp.minimize(gp._nll_and_grad, x0, args, bounds, max_iter,
-                         gp._nll_and_grad(x0, *args))
-    assert seeded.x.tobytes() == ref.x.tobytes()
-    assert np.float64(seeded.fun).tobytes() == np.float64(ref.fun).tobytes()
-    assert seeded.nfev == ref.nfev - inside
-    return ref.message
+    for known, nfev in ((None, ref.nfev), (fun(x0, *args), ref.nfev - inside)):
+        res = gp.minimize(fun, x0, args, bounds, max_iter, known)
+        assert res.x.tobytes() == ref.x.tobytes()
+        assert np.float64(res.fun).tobytes() == np.float64(expected).tobytes()
+        assert res.nfev == nfev
+    return ref
+
+
+def assert_same_search_as_scipy(seed, d, n, fixed, max_iter):
+    """``assert_same_search`` on a likelihood search."""
+    x0, args, bounds = likelihood_search(seed, d, n, fixed)
+    return assert_same_search(gp._nll_and_grad, x0, args, bounds, max_iter)
 
 
 class TestLbfgsbDriver:
@@ -755,7 +763,21 @@ class TestLbfgsbDriver:
         ((61, 1, 34, False, 14), "ABNORMAL: "),
     ])
     def test_every_shipped_exit(self, search, exit):
-        assert assert_same_search_as_scipy(*search) == exit
+        assert assert_same_search_as_scipy(*search).message == exit
+
+    # A gradient that points at 1 while the value falls towards 0 forces an
+    # abnormal line search: before the first iterate is accepted, and after one
+    # and three.  In each case scipy's value is the last trial's, not the value at x.
+    @pytest.mark.parametrize("x0", [[0.1], [-0.5, -0.5], [-1.5, -1.0]])
+    def test_abnormal_exit_reports_the_value_at_x(self, x0):
+        def wrong_gradient(x):
+            return float(x @ x), 2.0 * (x - 1.0)
+
+        x0 = np.array(x0)
+        bounds = [(-2.0, 2.0)] * x0.size
+        ref = assert_same_search(wrong_gradient, x0, (), bounds, 40)
+        assert ref.message.startswith("ABNORMAL")
+        assert ref.fun != wrong_gradient(ref.x)[0]
 
     @pytest.mark.parametrize("bounds", [
         [(-1.0, 1.0)],
