@@ -235,11 +235,15 @@ def run_bopp(objective: Objective, config: RunConfig) -> RegretTrace:
             incumbent = float(np.max(fit_data.observations)) if n else 0.0
             spec = acq.AcquisitionSpec(kind=config.acquisition_kind, incumbent=incumbent)
 
+        # One prepared posterior serves the whole search.  DIRECT's points are
+        # finite rows of the model's width, so they skip predict's checks.
+        selection_posterior = gp._Posterior(selection_model)
+
         def surface(x: np.ndarray) -> np.ndarray | float:
             # Batched over rows of a 2-D x; a single point gives a float.
-            mean, var = gp.predict(selection_model, x)
+            mean, var = selection_posterior(x if x.ndim == 2 else x.reshape(1, -1))
             values = spec.values(mean, np.sqrt(var))
-            return values if np.ndim(x) == 2 else float(values[0])
+            return values if x.ndim == 2 else float(values[0])
 
         x_next, _ = direct.maximize(surface, objective.domain, direct_config, vectorized=True)
 

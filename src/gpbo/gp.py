@@ -22,15 +22,19 @@ handling cost 14-24 us a call against 1-3 us for the routine at the sizes
 ``gpbo verify`` solves (1-12 base rows, 1-6 pseudo rows).  This module is
 the one home of the package's LAPACK and BLAS calls.
 
-Kernel arithmetic runs on coordinate planes.  ``kernel_matrix`` forms one
-(n, m) plane of differences per coordinate, and ``_lik_stack`` one (n, n)
-plane, so every elementwise pass covers whole planes instead of a d-long
-inner loop per pair of points.  ``kernel_matrix`` adds the squared planes in
+Kernel arithmetic runs on coordinate planes.  ``kernel_matrix`` and the
+posterior share ``_kernel``, which forms one (n, m) plane of differences per
+coordinate, and ``_lik_stack`` forms one (n, n) plane, so every elementwise
+pass covers whole planes instead of a d-long inner loop per pair of points.  ``kernel_matrix`` adds the squared planes in
 two lanes, the even coordinates and the odd ones, in the order numpy's
 einsum adds them on a 128-bit SIMD baseline (``_lanes``).  On such a build
 the kernel has the bits of ``einsum("ijk,ijk->ij", diff, diff)`` at every d,
 which keeps BO trajectories bit-identical to that form; an einsum built for a
 wider baseline adds in another order and differs in the last bits.
+
+``predict`` runs on ``_Posterior``, which holds what every query of one
+model reads; the acquisition search prepares one per BO iteration and scores
+its rows on it without ``predict``'s input checks.
 """
 
 from __future__ import annotations
@@ -160,15 +164,44 @@ def _lanes(d: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(even), tuple(k + 1 for k in even if k + 1 < d)
 
 
+def _kernel(planes: np.ndarray, b: np.ndarray, scale: np.ndarray, amplitude: float,
+            lanes: tuple[tuple[int, ...], tuple[int, ...]]) -> np.ndarray:
+    """The kernel arithmetic of ``kernel_matrix`` on prepared inputs: the
+    (d, n, 1) contiguous coordinate planes of the n left rows, checked rows
+    ``b`` (m, d), the lengthscales as a (d, 1) column and ``_lanes(d)``.
+    ``kernel_matrix`` and ``_Posterior`` both go through here.
+    """
+    d, n, _ = planes.shape
+    m = b.shape[0]
+    # Written in C order, whatever the operands' layouts, so every plane is contiguous.
+    diff = np.empty((d, n * m))
+    np.subtract(planes, b.T[:, None, :], out=diff.reshape(d, n, m))
+    diff /= scale
+    diff *= diff
+    even, odd = lanes
+    total = diff[even[0]]
+    for k in even[1:]:
+        total += diff[k]
+    if odd:
+        lane = diff[odd[0]]
+        for k in odd[1:]:
+            lane += diff[k]
+        total += lane
+    total *= -0.5
+    np.exp(total, out=total)
+    total *= amplitude
+    return total.reshape(n, m)
+
+
 def kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndarray:
     """Cross-covariance matrix between rows of ``a`` (n, d) and ``b`` (m, d).
 
     Computed from explicit coordinate differences so that identical rows give
     exactly ``amplitude`` (no cancellation in a dot-product expansion).  The
-    differences are formed on coordinate planes: one broadcast of contiguous
-    transposes of ``a`` and ``b`` gives one (n, m) plane per coordinate, so
-    every pass runs over whole planes and none over a d-long inner axis.  The
-    squared planes are added in ``_lanes`` order, numpy einsum's own order on
+    differences are formed on coordinate planes: one broadcast of ``a``'s
+    contiguous transpose against a view of ``b``'s gives one (n, m) plane per
+    coordinate, so every pass runs over whole planes and none over a d-long
+    inner axis.  The squared planes are added in ``_lanes`` order, numpy einsum's own order on
     a 128-bit baseline, so the result has the bits of ``einsum("ijk,ijk->ij",
     diff, diff)`` there and BO trajectories stay bit-identical to that form.
     Zero-row inputs give an empty matrix.
@@ -180,24 +213,8 @@ def kernel_matrix(a: np.ndarray, b: np.ndarray, params: KernelParams) -> np.ndar
         raise ValueError(
             f"kernel_matrix needs (n, {d}) and (m, {d}) arrays, got shapes {a.shape} and {b.shape}"
         )
-    n, m = a.shape[0], b.shape[0]
-    a_planes, b_planes = np.ascontiguousarray(a.T), np.ascontiguousarray(b.T)
-    planes = (a_planes[:, :, None] - b_planes[:, None, :]).reshape(d, n * m)
-    planes /= params.lengthscales[:, None]
-    planes *= planes
-    even, odd = _lanes(d)
-    total = planes[even[0]]
-    for k in even[1:]:
-        total += planes[k]
-    if odd:
-        lane = planes[odd[0]]
-        for k in odd[1:]:
-            lane += planes[k]
-        total += lane
-    total *= -0.5
-    np.exp(total, out=total)
-    total *= params.amplitude
-    return total.reshape(n, m)
+    return _kernel(np.ascontiguousarray(a.T)[:, :, None], b, params.lengthscales[:, None],
+                   params.amplitude, _lanes(d))
 
 
 def _chol_with_jitter(mat: np.ndarray) -> tuple[np.ndarray, float]:
@@ -280,18 +297,38 @@ def build_model(data: Dataset, params: KernelParams) -> GpModel:
     return augment(prior, data)
 
 
+def _trsm_form(factor: np.ndarray) -> tuple[np.ndarray, int, int]:
+    """``(matrix, lower, trans_a)`` with which ``dtrsm`` solves against a lower
+    ``factor`` in its stored memory order (a copy costs about 15 % of the
+    solve at n = 210)."""
+    if factor.flags.f_contiguous:
+        return factor, 1, 1
+    return factor.T, 0, 0
+
+
 def _forward_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """``factor^-1 @ rhs`` for a lower-triangular factor, one column at a time
     in the same arithmetic however many columns ``rhs`` has.
 
     ``_solve_triangular`` goes through trtrs, which OpenBLAS answers with trsv
     for a single column and trsm otherwise, and the two round differently.
-    The branch only lets trsm read the factor in its stored memory order
-    (a copy costs about 15 % of the solve at n = 210).
     """
-    if factor.flags.f_contiguous:
-        return dtrsm(1.0, factor, rhs.T, side=1, lower=1, trans_a=1).T
-    return dtrsm(1.0, factor.T, rhs.T, side=1, lower=0).T
+    mat, lower, trans = _trsm_form(factor)
+    return dtrsm(1.0, mat, rhs.T, side=1, lower=lower, trans_a=trans).T
+
+
+def _column_sums(x: np.ndarray) -> np.ndarray:
+    """The sum of each column of a 2-D ``x``, added row by row: the bits of
+    ``np.cumsum(x, axis=0)[-1]`` at about half its cost.
+
+    numpy reduces a C-ordered array of two or more columns over axis 0 one
+    row at a time.  The accumulator starts at -0.0, the identity that keeps a
+    column of negative zeros negative, as cumsum does.  A single column numpy
+    would add pairwise, so that goes through cumsum.
+    """
+    if x.shape[1] < 2:
+        return np.cumsum(x, axis=0)[-1]
+    return np.add.reduce(np.ascontiguousarray(x), axis=0, initial=-0.0)
 
 
 def _query_rows(model: GpModel, x: np.ndarray) -> np.ndarray:
@@ -304,27 +341,53 @@ def _query_rows(model: GpModel, x: np.ndarray) -> np.ndarray:
     return queries
 
 
+class _Posterior:
+    """``predict``'s arithmetic for one model, prepared once.
+
+    It holds what every query of the model reads: the training points'
+    coordinate planes, the lengthscale column, the kernel's lanes, the weight
+    column and the factor in ``dtrsm``'s orientation.  A call maps checked
+    rows (m, d), finite and of the model's width, to (mean, var); a caller
+    that builds its rows itself, as the acquisition search does, skips
+    ``_query_rows``.
+    """
+
+    __slots__ = ("amplitude", "planes", "scale", "lanes", "weights", "factor", "lower", "trans")
+
+    def __init__(self, model: GpModel):
+        params = model.params
+        self.amplitude = params.amplitude
+        self.planes = np.ascontiguousarray(model.data.points.T)[:, :, None]
+        self.scale = params.lengthscales[:, None]
+        self.lanes = _lanes(params.dimension)
+        self.weights = model.weight_vector[:, None]
+        self.factor, self.lower, self.trans = (
+            _trsm_form(model.factor) if len(model) else (None, 0, 0))
+
+    def __call__(self, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        m = queries.shape[0]
+        if self.factor is None:
+            return np.zeros(m), np.full(m, self.amplitude)
+        cross = _kernel(self.planes, queries, self.scale, self.amplitude, self.lanes)
+        mean = _column_sums(cross * self.weights)
+        half = dtrsm(1.0, self.factor, cross.T, side=1, lower=self.lower, trans_a=self.trans).T
+        var = self.amplitude - _column_sums(half * half)
+        return mean, np.maximum(var, 0.0)
+
+
 def predict(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and variance at each row of ``queries`` (m, d).
 
     Each row's results are bitwise the same whether it is queried alone or
     in a batch of any size: the sums run sequentially over the training
-    points, and the triangular solve is column-independent.  So a batched
-    search scores a point exactly as a single query does.
+    points (``_column_sums``), and the triangular solve is
+    column-independent.  So a batched search scores a point exactly as a
+    single query does.
 
     Variances are clamped at zero; the pre-clamp value never drops below the
     numerical floor exercised in the test suite.
     """
-    queries = _query_rows(model, queries)
-    amp = model.params.amplitude
-    if len(model) == 0:
-        m = queries.shape[0]
-        return np.zeros(m), np.full(m, amp)
-    cross = kernel_matrix(model.data.points, queries, model.params)
-    mean = np.cumsum(cross * model.weight_vector[:, None], axis=0)[-1]
-    half = _forward_solve(model.factor, cross)
-    var = amp - np.cumsum(half * half, axis=0)[-1]
-    return mean, np.maximum(var, 0.0)
+    return _Posterior(model)(_query_rows(model, queries))
 
 
 def posterior(model: GpModel, x: np.ndarray) -> tuple[float, float]:

@@ -223,15 +223,16 @@ class ObjectiveTimeoutError(ExternalObjectiveError):
 
 
 class ObjectiveParseError(ExternalObjectiveError):
-    """The child printed something that is not a single real number."""
+    """The child's last non-empty output line is not a single finite real."""
 
 
 def external_objective(command: str, domain: BoxDomain, timeout: float = 300.0) -> Objective:
     """Wrap a command as an objective: point on stdin, one real on stdout.
 
     Each evaluation spawns one child process, writes the coordinates as a
-    single whitespace-separated line, and parses a single real from the
-    child's standard output.  The optimum is unknown.
+    single whitespace-separated line, and reads the value from the child's
+    standard output: its last non-empty line must be exactly one finite real,
+    and earlier lines are ignored.  The optimum is unknown.
     """
     argv = shlex.split(command)
     if not argv:
@@ -255,14 +256,17 @@ def external_objective(command: str, domain: BoxDomain, timeout: float = 300.0) 
             ) from exc
         if proc.returncode != 0:
             raise ObjectiveExitError(command, proc.returncode, proc.stderr)
-        out = proc.stdout.strip()
+        # Earlier lines may be the child's log; the last non-empty one is the value.
+        lines = [line for line in proc.stdout.splitlines() if line.strip()]
+        tokens = lines[-1].split() if lines else []
         try:
-            value = float(out.split()[-1]) if out else float("nan")
+            value = float(tokens[0]) if len(tokens) == 1 else math.nan
         except ValueError:
-            value = float("nan")
+            value = math.nan
         if not math.isfinite(value):
             raise ObjectiveParseError(
-                f"command {command!r} printed {proc.stdout!r}, expected a single real number"
+                f"command {command!r} printed {proc.stdout!r}, expected a single real "
+                "number on its last non-empty line"
             )
         return value
 

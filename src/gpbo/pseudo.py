@@ -197,13 +197,13 @@ def _reduction(p_mat: np.ndarray, s_lower: np.ndarray) -> np.ndarray:
     a sequential sum of squares, so M is never formed and no entry is
     negative."""
     half = gp._forward_solve(s_lower, p_mat)
-    return np.cumsum(half * half, axis=0)[-1]
+    return gp._column_sums(half * half)
 
 
 def _shift(p_mat: np.ndarray, s_lower: np.ndarray, residual: np.ndarray) -> np.ndarray:
     """-p(x)^T M ``residual`` per column of P, M applied by a solve."""
     weights = gp._cho_solve(s_lower, residual)
-    return -np.cumsum(p_mat * weights[:, None], axis=0)[-1]
+    return -gp._column_sums(p_mat * weights[:, None])
 
 
 def correction_terms(

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from gpbo import direct, engine, gp, pseudo
+from gpbo import acquisition, direct, engine, gp, pseudo
 from gpbo.engine import RegretTrace, RunConfig, run_bo, run_bopp
 from gpbo.domain import BoxDomain
 from gpbo.objectives import Objective, external_objective, make_synthetic
@@ -275,6 +275,75 @@ class TestRunBopp:
         tampered = run_bopp(obj, cfg)
         np.testing.assert_array_equal(reference.lengthscales, tampered.lengthscales)
         np.testing.assert_array_equal(reference.amplitudes, tampered.amplitudes)
+
+    @pytest.mark.parametrize("label", ["ucb", "pi", "ei", "ucb-pp"])
+    def test_surface_scores_what_predict_and_the_spec_give(self, monkeypatch, label):
+        """The search's surface, on its prepared posterior, has the bits of
+        ``spec.values(mean, sqrt(var))`` from ``gp.predict`` on the selection
+        model: on a 2-D batch, and one point at a time as a float."""
+        selections, specs, checked = [], [], []
+        original_augment, original_spec = pseudo.augmented_model, acquisition.AcquisitionSpec
+        original_maximize = direct.maximize
+        rng = np.random.default_rng(3)
+
+        def kept_model(model, pp):
+            selections.append(original_augment(model, pp))
+            return selections[-1]
+
+        def kept_spec(*args, **kwargs):
+            specs.append(original_spec(*args, **kwargs))
+            return specs[-1]
+
+        def checking(surface, domain, config, **kwargs):
+            model, spec = selections[-1], specs[-1]
+            rows = np.vstack([domain.center, rng.uniform(domain.lower, domain.upper, (9, 2)),
+                              model.data.points[:3]])
+            mean, var = gp.predict(model, rows)
+            want = spec.values(mean, np.sqrt(var))
+            assert surface(rows).tobytes() == want.tobytes()
+            for row, value in zip(rows, want):
+                got = surface(row)
+                assert type(got) is float and np.float64(got).tobytes() == value.tobytes()
+            checked.append(len(model))
+            return original_maximize(surface, domain, config, **kwargs)
+
+        kind = label.split("-")[0]
+        tau0 = 0.01 if label.endswith("pp") else 0.0
+        config = fast_config(acquisition_kind=kind, pseudo=PseudoSchedule(tau0=tau0))
+        monkeypatch.setattr(pseudo, "augmented_model", kept_model)
+        monkeypatch.setattr(acquisition, "AcquisitionSpec", kept_spec)
+        monkeypatch.setattr(direct, "maximize", checking)
+        trace = run_bopp(make_synthetic("griewank"), config)
+        assert len(checked) == config.budget
+        assert checked == (config.initial_points + np.arange(config.budget)
+                           + trace.pseudo_counts).tolist()
+
+    def test_one_posterior_query_per_iteration(self, monkeypatch):
+        """The search scores its points on one prepared posterior; predict and
+        posterior run once an iteration, for the selected point's variance."""
+        calls = {"predict": 0, "posterior": 0, "prepared": 0, "searches": 0}
+        original = {name: getattr(gp, name) for name in ("predict", "posterior", "_Posterior")}
+        original_maximize = direct.maximize
+
+        def counted(name, key):
+            def call(*args, **kwargs):
+                calls[key] += 1
+                return original[name](*args, **kwargs)
+            return call
+
+        def searched(*args, **kwargs):
+            calls["searches"] += 1
+            return original_maximize(*args, **kwargs)
+
+        monkeypatch.setattr(gp, "predict", counted("predict", "predict"))
+        monkeypatch.setattr(gp, "posterior", counted("posterior", "posterior"))
+        monkeypatch.setattr(gp, "_Posterior", counted("_Posterior", "prepared"))
+        monkeypatch.setattr(direct, "maximize", searched)
+        config = fast_config(pseudo=PseudoSchedule(tau0=0.01))
+        run_bopp(make_synthetic("griewank"), config)
+        # posterior calls predict, which prepares its own core.
+        assert calls == {"predict": config.budget, "posterior": config.budget,
+                         "prepared": 2 * config.budget, "searches": config.budget}
 
     def test_augmented_variance_below_base_at_probes(self):
         rng = np.random.default_rng(0)

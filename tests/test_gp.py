@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import cho_solve, cholesky, solve_triangular
 from scipy.optimize import minimize as scipy_minimize
@@ -294,6 +294,86 @@ class TestPosterior:
         p = random_params(rng, 2)
         model = gp.build_model(random_dataset(rng, 10, 2), p)
         assert reconstruction_error(model) < 1e-10
+
+
+def reference_predict(model, queries):
+    """The posterior arithmetic spelled out: ``kernel_matrix``, a cumsum over
+    the training rows and a forward solve, as ``predict`` did before it ran on
+    a prepared core."""
+    amp = model.params.amplitude
+    if len(model) == 0:
+        return np.zeros(len(queries)), np.full(len(queries), amp)
+    cross = gp.kernel_matrix(model.data.points, queries, model.params)
+    mean = np.cumsum(cross * model.weight_vector[:, None], axis=0)[-1]
+    half = gp._forward_solve(model.factor, cross)
+    return mean, np.maximum(amp - np.cumsum(half * half, axis=0)[-1], 0.0)
+
+
+class TestPreparedPosterior:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 210),
+        m=st.integers(1, 64),
+        layout=st.sampled_from(["C", "F", "view"]),
+        zeros=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    # One column, where numpy's reduce would add pairwise, in every layout.
+    @example(seed=1, n=210, m=1, layout="C", zeros=0.0)
+    @example(seed=2, n=97, m=1, layout="F", zeros=0.0)
+    @example(seed=3, n=64, m=1, layout="view", zeros=0.3)
+    def test_column_sums_have_the_cumsum_bits(self, seed, n, m, layout, zeros):
+        # The guard on numpy's reduction order: row by row from -0.0 for two
+        # or more columns.  A build that reduces in another order fails here.
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, m)) * 10.0 ** rng.integers(-8, 9, size=(n, m))
+        x[rng.random((n, m)) < zeros] = 0.0
+        x[rng.random((n, m)) < zeros / 2] = -0.0
+        if m > 1:
+            x[:, 0] = -0.0  # a column of negative zeros sums to -0.0
+        if layout == "F":
+            x = np.asfortranarray(x)
+        elif layout == "view":
+            x = np.ascontiguousarray(x.T).T
+        got = gp._column_sums(x)
+        assert got.shape == (m,)
+        assert got.tobytes() == np.cumsum(x, axis=0)[-1].tobytes()
+
+    @staticmethod
+    def models():
+        """The empty model, a block-update factor (C order) and a fresh joint
+        factor from ``_augmented_factor``'s jitter path (LAPACK's F order)."""
+        rng = np.random.default_rng(5)
+        params = random_params(rng, 3)
+        yield "empty", gp.build_model(gp.empty_dataset(3), params)
+        base = gp.build_model(random_dataset(rng, 9, 3), params)
+        extra = Dataset(base.data.points[:4] + 1e-3, base.data.observations[:4])
+        block = gp.augment(base, extra)
+        assert block.jitter == 0.0 and block.factor.flags.c_contiguous
+        yield "block", block
+        # Noise so small that the duplicated rows' Schur block is singular.
+        tiny = KernelParams(np.array([0.3, 0.4, 0.5]), 1.3, 1e-17)
+        points = np.array([[-0.8, -0.8, -0.8], [0.0, 0.1, 0.0], [0.8, 0.7, 0.9]])
+        spread = gp.build_model(Dataset(points, [0.2, -0.4, 1.1]), tiny)
+        assert spread.jitter == 0.0
+        joint = gp.augment(spread, Dataset(points[:2], [0.2, -0.4]))
+        assert joint.jitter > 0.0 and joint.factor.flags.f_contiguous
+        assert not joint.factor.flags.c_contiguous
+        yield "joint", joint
+
+    @pytest.mark.parametrize("which", ["empty", "block", "joint"])
+    def test_core_has_the_bits_of_predict(self, which):
+        model = dict(self.models())[which]
+        rng = np.random.default_rng(6)
+        core = gp._Posterior(model)
+        queries = np.vstack([rng.uniform(-1, 1, (40, 3)), model.data.points])
+        want = reference_predict(model, queries)
+        # One prepared core answers any number of calls with the same bits.
+        for part in (slice(None), slice(0, 1), slice(3, 17), slice(None)):
+            got = core(queries[part])
+            for ref in (gp.predict(model, queries[part]), (want[0][part], want[1][part])):
+                assert got[0].tobytes() == ref[0].tobytes()
+                assert got[1].tobytes() == ref[1].tobytes()
 
 
 def triangular_system(seed, n, nrhs, layout):

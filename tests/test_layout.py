@@ -90,32 +90,30 @@ def test_one_block_update():
             assert named != "_chol_with_jitter", f"{path.name} factorizes a block itself"
 
 
-def test_one_factorization_path():
-    # gp._augmented_factor builds the factor of every model, and the likelihood
-    # factorizes its Gram matrix: nothing else calls _chol_with_jitter.
-    callers = set()
+def callers_of(name):
+    """(module file, top-level definition) of every call to ``name`` in the package."""
+    found = set()
     for path in sorted(SOURCE.glob("*.py")):
         for top in ast.parse(path.read_text()).body:
             for node in ast.walk(top):
                 func = getattr(node, "func", None)
-                named = getattr(func, "id", None) or getattr(func, "attr", None)
-                if isinstance(node, ast.Call) and named == "_chol_with_jitter":
-                    callers.add((path.name, getattr(top, "name", None)))
-    assert callers == {("gp.py", "_augmented_factor"), ("gp.py", "_nll_and_grad")}
+                if isinstance(node, ast.Call) and name in {getattr(func, "id", None),
+                                                           getattr(func, "attr", None)}:
+                    found.add((path.name, getattr(top, "name", None)))
+    return found
+
+
+def test_one_factorization_path():
+    # gp._augmented_factor builds the factor of every model, and the likelihood
+    # factorizes its Gram matrix: nothing else calls _chol_with_jitter.
+    assert callers_of("_chol_with_jitter") == {("gp.py", "_augmented_factor"),
+                                               ("gp.py", "_nll_and_grad")}
 
 
 def test_one_build_per_instance():
     # The identity checks share one build: only theory._instance_reports
     # calls build_instance, and the public checks are views of its reports.
-    callers = set()
-    for path in sorted(SOURCE.glob("*.py")):
-        for top in ast.parse(path.read_text()).body:
-            for node in ast.walk(top):
-                func = getattr(node, "func", None)
-                named = getattr(func, "id", None) or getattr(func, "attr", None)
-                if isinstance(node, ast.Call) and named == "build_instance":
-                    callers.add((path.name, getattr(top, "name", None)))
-    assert callers == {("theory.py", "_instance_reports")}
+    assert callers_of("build_instance") == {("theory.py", "_instance_reports")}
 
 
 def test_held_factors_are_not_refactored():
@@ -129,6 +127,17 @@ def test_held_factors_are_not_refactored():
             if isinstance(node, ast.Call):
                 assert named not in {"variance_reduction", "mean_shift", "correction_terms"}, (
                     f"{name}.py calls {named}")
+
+
+def test_one_kernel_and_posterior_arithmetic():
+    # kernel_matrix and the prepared posterior share one kernel function;
+    # the posterior's solve is the one dtrsm call beside _forward_solve, and
+    # the sums over training rows go through gp._column_sums.
+    assert callers_of("_kernel") == {("gp.py", "kernel_matrix"), ("gp.py", "_Posterior")}
+    assert callers_of("dtrsm") == {("gp.py", "_forward_solve"), ("gp.py", "_Posterior")}
+    assert callers_of("_Posterior") == {("gp.py", "predict"), ("engine.py", "run_bopp")}
+    # pseudo._p_and_s sums over axis 1 of a 3-D product, which the helper does not cover.
+    assert callers_of("cumsum") == {("gp.py", "_column_sums"), ("pseudo.py", "_p_and_s")}
 
 
 def test_one_fit_preset():

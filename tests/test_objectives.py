@@ -192,6 +192,24 @@ class TestExternalObjective:
         with pytest.raises(ObjectiveParseError):
             obj.evaluate_true(np.zeros(2))
 
+    @pytest.mark.parametrize("printed", [
+        "print('0.1 0.2')",  # two tokens: not the last one
+        "print('loss: 0.5')",  # a labelled value
+        "print('nan')",
+        "print('inf')",
+        "pass",  # nothing at all
+        "print('0.5'); print('done')",  # the value is not the last line
+    ], ids=["two-tokens", "labelled", "nan", "inf", "empty", "value-then-log"])
+    def test_last_line_must_be_one_finite_real(self, printed):
+        obj = external_objective(f"{sys.executable} -c \"{printed}\"", self.domain())
+        with pytest.raises(ObjectiveParseError, match="last non-empty line"):
+            obj.evaluate_true(np.zeros(2))
+
+    def test_log_lines_before_the_value_are_ignored(self):
+        cmd = f"{sys.executable} -c \"print('fitting 3 folds'); print('loss 0.9 0.8'); print(); print(' 0.25 ')\""
+        obj = external_objective(cmd, self.domain())
+        assert obj.evaluate_true(np.zeros(2)) == 0.25
+
     def test_spawn_failure(self):
         obj = external_objective("/nonexistent/binary-xyz", self.domain())
         with pytest.raises(ObjectiveSpawnError):
