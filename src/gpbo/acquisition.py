@@ -50,6 +50,11 @@ class AcquisitionSpec:
 
         For pi at std = 0 the distribution is a point mass, so the value
         degenerates to the indicator of mean > incumbent; ei is 0 there.
+        pi and ei take one of two paths after the same checks: when every
+        std is positive, as in the acquisition search, they score the
+        arrays whole; otherwise they score the positive-std entries through
+        a mask and fill in the point masses.  An entry gets the same bits on
+        either path.
         """
         mean = np.asarray(mean, dtype=float)
         std = np.asarray(std, dtype=float)
@@ -60,6 +65,10 @@ class AcquisitionSpec:
         if (std < 0).any():
             raise ValueError("std must be non-negative")
         spread = std > 0.0
+        if spread.all():
+            gap = mean - self.incumbent
+            z = gap / std
+            return _cdf(z) if self.kind == "pi" else gap * _cdf(z) + std * _pdf(z)
         gap = mean[spread] - self.incumbent
         z = gap / std[spread]
         if self.kind == "pi":
@@ -76,12 +85,16 @@ class AcquisitionSpec:
 # (numpy 2.4, scipy 1.17), which would move the pi and ei search trajectories.
 def _cdf(z: np.ndarray) -> np.ndarray:
     scaled = z / _SQRT2
-    return 0.5 * (1.0 + np.fromiter(map(math.erf, scaled.tolist()), float, scaled.size))
+    return 0.5 * (1.0 + _libm(math.erf, scaled))
 
 
 def _pdf(z: np.ndarray) -> np.ndarray:
-    exponent = -0.5 * z * z
-    return _INV_SQRT_2PI * np.fromiter(map(math.exp, exponent.tolist()), float, exponent.size)
+    return _INV_SQRT_2PI * _libm(math.exp, -0.5 * z * z)
+
+
+def _libm(func, x: np.ndarray) -> np.ndarray:
+    """``func`` of every entry of ``x``, in ``x``'s shape."""
+    return np.fromiter(map(func, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def pi_value(mean: float, std: float, incumbent: float) -> float:

@@ -114,6 +114,10 @@ class ExperimentConfig:
     external: ExternalSpec | None = None
 
     def __post_init__(self):
+        for name in ("repeats", "jobs"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
         if self.jobs < 1:
@@ -127,7 +131,11 @@ class ExperimentConfig:
                 raise ValueError(f"algorithm name {name!r} is used more than once")
         # The per-run rules live on RunConfig; check them once here, before any run.
         RunConfig(budget=self.budget, initial_points=self.initial_points, delta=self.delta,
-                  noise_variance=self.noise_variance, seed=self.seed)
+                  noise_variance=self.noise_variance, seed=self.seed, standardize=self.standardize)
+        # numpy counts and flags pass; the JSON form holds Python ones.
+        for name in ("repeats", "budget", "initial_points", "seed", "jobs"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "standardize", bool(self.standardize))
         if self.objective == "external":
             if self.external is None:
                 raise ValueError("external objective requires a command and bounds")

@@ -78,12 +78,14 @@ def _hull(measures: list[float], values: list[float]) -> list[int]:
     """Positions of the potentially-optimal points of a non-empty (measure,
     value) cloud given in strictly ascending measure: the points on its
     lower-right convex hull that also pass the epsilon test, in that order."""
-    points = list(zip(measures, values))
+    count = len(measures)
     # A monotone-chain pass drops point i only on a witness j < i < l with
     # slope(i, j) > slope(i, l); then left >= slope(i, j) > slope(i, l) >= right
     # below, so every dropped point fails the full test too.
-    chain = [(*points[0], 0, -math.inf)]  # (measure, value, position, slope to predecessor)
-    for l, (ml, vl) in enumerate(points[1:], 1):
+    # (measure, value, position, slope to predecessor)
+    chain = [(measures[0], values[0], 0, -math.inf)]
+    for l in range(1, count):
+        ml, vl = measures[l], values[l]
         mi, vi, _, to_left = chain[-1]
         while (slope := (vi - vl) / (mi - ml)) < to_left:
             chain.pop()
@@ -92,7 +94,12 @@ def _hull(measures: list[float], values: list[float]) -> list[int]:
     f_min = min(values)
     selected = []
     for mi, vi, i, _ in chain:
-        right = min([(vi - vj) / (mi - mj) for mj, vj in points[i + 1 :]] or [math.inf])
+        # Running extremes with strict comparisons keep the first extreme, as
+        # min and max do, so signed-zero ties resolve the same way.
+        right = math.inf
+        for j in range(i + 1, count):
+            if (slope := (vi - values[j]) / (mi - measures[j])) < right:
+                right = slope
         # The epsilon test does not apply at an infinite slope: with a
         # subnormal f_min it would read inf - inf.
         if math.isfinite(right):
@@ -102,7 +109,10 @@ def _hull(measures: list[float], values: list[float]) -> list[int]:
                 ok = vi - mi * right <= 0.0
             if not ok:
                 continue
-        left = max([(vi - vj) / (mi - mj) for mj, vj in points[:i]] or [-math.inf])
+        left = -math.inf
+        for j in range(i):
+            if (slope := (vi - values[j]) / (mi - measures[j])) > left:
+                left = slope
         if left <= right:
             selected.append(i)
     return selected
@@ -162,7 +172,7 @@ class _Search:
                 f"objective returned {float(raw[k])!r} at {points[k].tolist()}"
             )
         values = -raw
-        k = int(np.argmin(values))
+        k = values.argmin()
         if values[k] < self.best_value:
             self.best_value = float(values[k])
             self.best_point = points[k].copy()

@@ -74,6 +74,14 @@ class RunConfig:
     unit_amplitude: bool = False
 
     def __post_init__(self):
+        for name in ("budget", "initial_points", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("standardize", "unit_amplitude"):
+            value = getattr(self, name)
+            if not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{name} must be a bool, got {value!r}")
         if self.budget < 1:
             raise ValueError("budget must be at least 1")
         if self.seed < 0:

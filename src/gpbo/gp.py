@@ -371,8 +371,9 @@ class _Posterior:
         cross = _kernel(self.planes, queries, self.scale, self.amplitude, self.lanes)
         mean = _column_sums(cross * self.weights)
         half = dtrsm(1.0, self.factor, cross.T, side=1, lower=self.lower, trans_a=self.trans).T
-        var = self.amplitude - _column_sums(half * half)
-        return mean, np.maximum(var, 0.0)
+        half *= half
+        var = self.amplitude - _column_sums(half)
+        return mean, np.maximum(var, 0.0, out=var)
 
 
 def predict(model: GpModel, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -468,6 +469,11 @@ class FitConfig:
     lengthscale_bounds: tuple = (0.05, 2.0)
 
     def __post_init__(self):
+        starts = self.n_starts
+        if isinstance(starts, bool) or not isinstance(starts, (int, np.integer)) or starts < 1:
+            raise ValueError(f"n_starts must be an integer of at least 1, got {starts!r}")
+        if not isinstance(self.fix_amplitude, (bool, np.bool_)):
+            raise ValueError(f"fix_amplitude must be a bool, got {self.fix_amplitude!r}")
         low, high = (np.asarray(b, dtype=float) for b in self.lengthscale_bounds)
         if not (np.all(low > 0) and np.all(low <= high) and np.all(np.isfinite(high))):
             raise ValueError("lengthscale bounds must satisfy 0 < low <= high < inf")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 from gpbo import acquisition as acq
@@ -178,6 +180,59 @@ class TestAcquisitionSpec:
             at_point = np.zeros(point.sum())
         np.testing.assert_allclose(values[~point], spread, rtol=0.0, atol=1e-12)
         np.testing.assert_array_equal(values[point], at_point)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["pi", "ei"]),
+        rows=st.lists(st.tuples(st.floats(-1e6, 1e6),
+                                st.floats(1e-300, 1e3) | st.sampled_from([1e-300, 5e-324, 1e-8])),
+                      min_size=1, max_size=40),
+        incumbent=st.floats(-1e3, 1e3),
+        bad=st.integers(0, 39),
+    )
+    # A std of 1e-300 under gaps of zero, one and far beyond the spread.
+    @example(kind="ei", rows=[(0.3, 1e-300), (1.3, 1e-300), (-1e6, 1e-300)], incumbent=0.3, bad=0)
+    @example(kind="pi", rows=[(0.3, 1e-300), (1e6, 1e-300), (-1e6, 1.0)], incumbent=0.3, bad=1)
+    # Gaps many spreads wide, where the cdf saturates and the pdf underflows.
+    @example(kind="ei", rows=[(1e6, 1e-3), (-1e6, 1e-3), (40.0, 1.0)], incumbent=0.0, bad=2)
+    def test_positive_std_batch_has_the_masked_bits(self, kind, rows, incumbent, bad):
+        # Every std positive: the batch is scored whole.  The same rows beside
+        # a zero-std row go through the mask and must give the same bytes.
+        spec = acq.AcquisitionSpec(kind, incumbent=incumbent)
+        mean, std = (np.array(column) for column in zip(*rows))
+        # Near std = 5e-324, z * z overflows to inf and the pdf reads exp(-inf) = 0
+        # on both paths; the comparison covers those entries too.
+        with np.errstate(over="ignore"):
+            whole = spec.values(mean, std)
+            masked = spec.values(np.append(mean, incumbent + 1.0), np.append(std, 0.0))
+        assert whole.tobytes() == masked[:-1].tobytes()
+        assert masked[-1] == (1.0 if kind == "pi" else 0.0)
+        # The checks still run first when every other std is positive.
+        k = bad % len(rows)
+        for column, value in ((mean, math.nan), (std, math.inf), (std, -std[k])):
+            spoiled = column.copy()
+            spoiled[k] = value
+            args = (spoiled, std) if column is mean else (mean, spoiled)
+            with pytest.raises(ValueError):
+                spec.values(*args)
+
+    @pytest.mark.parametrize("kind", ["pi", "ei"])
+    @pytest.mark.parametrize("shape", [(), (3, 4)], ids=["scalar", "matrix"])
+    def test_values_keep_the_input_shape(self, kind, shape):
+        # Both paths score any shape entry by entry, as they do a vector.
+        rng = np.random.default_rng(32)
+        mean, std = rng.normal(size=shape), rng.uniform(0.1, 2.0, size=shape)
+        spec = acq.AcquisitionSpec(kind, incumbent=0.1)
+        whole = spec.values(mean, std)
+        flat = spec.values(np.append(mean, 0.0), np.append(std, 0.0))[:-1]
+        assert whole.shape == np.shape(mean)
+        assert whole.tobytes() == flat.tobytes()
+        if shape:
+            point = std.copy()
+            point[0, 0] = 0.0
+            masked = spec.values(mean, point)
+            assert masked.shape == shape
+            assert masked[1:].tobytes() == whole[1:].tobytes()
 
     @pytest.mark.parametrize("kind", ["pi", "ei"])
     def test_array_values_reject_bad_inputs(self, kind):

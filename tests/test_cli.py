@@ -606,6 +606,33 @@ class TestMainEntry:
             cli.main(["run", "--config", str(config_path), "--out", str(out_dir)])
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("repeats", 1.5, "repeats must be an integer, got 1.5"),
+        ("repeats", True, "repeats must be an integer, got True"),
+        ("jobs", 2.0, "jobs must be an integer, got 2.0"),
+        ("jobs", np.bool_(True), "jobs must be an integer, got "),
+        ("budget", 2.5, "budget must be an integer, got 2.5"),
+        ("budget", True, "budget must be an integer, got True"),
+        ("initial_points", 3.0, "initial_points must be an integer, got 3.0"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("standardize", "yes", "standardize must be a bool, got 'yes'"),
+    ], ids=["repeats-fraction", "repeats-bool", "jobs-float", "jobs-numpy-bool",
+            "budget-fraction", "budget-bool", "initial-points-float", "seed-fraction",
+            "standardize-string"])
+    def test_library_config_rejects_malformed_counts(self, tmp_path, field, value, message):
+        # The library path checks what config_from_dict checks for JSON: a
+        # count is an integer and a flag a bool, before any run starts.
+        with pytest.raises(ValueError, match=f"^{message}"):
+            tiny_config(tmp_path, **{field: value})
+
+    def test_library_config_accepts_numpy_counts(self, tmp_path):
+        config = tiny_config(tmp_path, repeats=np.int64(2), jobs=np.int32(1), budget=np.int64(3),
+                             seed=np.uint32(5), standardize=np.bool_(False))
+        # They are stored as Python values, so the config's JSON form writes.
+        assert config == tiny_config(tmp_path, repeats=2, jobs=1, budget=3, seed=5,
+                                     standardize=False)
+        assert config_from_dict(json.loads(json.dumps(config.to_dict()))) == config
+
     def test_run_rejects_unknown_objective_flag(self, tmp_path):
         out_dir = tmp_path / "out"
         with pytest.raises(ValueError, match="unknown objective 'dropwav'"):

@@ -426,6 +426,27 @@ class TestUnitAmplitudeMode:
             fast_config(standardize=True, unit_amplitude=True)
 
 
+class TestConfigChecks:
+    @pytest.mark.parametrize("field, value", [
+        ("budget", 2.5), ("budget", True), ("budget", "6"), ("initial_points", 4.0),
+        ("initial_points", np.bool_(True)), ("seed", 1.5), ("seed", False), ("seed", None),
+        ("standardize", 1), ("standardize", "no"), ("unit_amplitude", 0.0),
+        ("unit_amplitude", None),
+    ], ids=["budget-fraction", "budget-bool", "budget-string", "initial-points-float",
+            "initial-points-numpy-bool", "seed-fraction", "seed-bool", "seed-none",
+            "standardize-int", "standardize-string", "unit-amplitude-float",
+            "unit-amplitude-none"])
+    def test_counts_and_flags_rejected(self, field, value):
+        kind = "a bool" if field in ("standardize", "unit_amplitude") else "an integer"
+        with pytest.raises(ValueError, match=f"^{field} must be {kind}, got "):
+            fast_config(**{field: value})
+
+    def test_numpy_integers_and_bools_accepted(self):
+        config = fast_config(budget=np.int64(6), initial_points=np.int32(4), seed=np.uint32(11),
+                             standardize=np.bool_(False), unit_amplitude=np.bool_(True))
+        assert config.budget == 6 and config.unit_amplitude
+
+
 class TestMeanErrorBound:
     def test_zero_count_is_zero(self):
         assert mean_error_bound(0, 0.1, 1.0, 1e-2, 10, 0.1, 2) == 0.0

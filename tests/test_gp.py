@@ -758,6 +758,24 @@ class TestFit:
         with pytest.raises(ValueError, match="lengthscale bounds must satisfy 0 < low <= high < inf"):
             FitConfig(lengthscale_bounds=bounds)
 
+    @pytest.mark.parametrize("field, value, message", [
+        ("n_starts", 0, "n_starts must be an integer of at least 1, got 0"),
+        ("n_starts", -3, "n_starts must be an integer of at least 1, got -3"),
+        ("n_starts", 2.0, "n_starts must be an integer of at least 1, got 2.0"),
+        ("n_starts", True, "n_starts must be an integer of at least 1, got True"),
+        ("fix_amplitude", "no", "fix_amplitude must be a bool, got 'no'"),
+        ("fix_amplitude", 1, "fix_amplitude must be a bool, got 1"),
+        ("fix_amplitude", None, "fix_amplitude must be a bool, got None"),
+    ], ids=["starts-zero", "starts-negative", "starts-float", "starts-bool", "fix-string",
+            "fix-int", "fix-none"])
+    def test_bad_counts_and_flags_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            FitConfig(**{field: value})
+
+    def test_numpy_count_and_flag_accepted(self):
+        config = FitConfig(n_starts=np.int64(2), fix_amplitude=np.bool_(True))
+        assert config.n_starts == 2 and config.fix_amplitude
+
     def test_array_bounds_compare_and_hash(self):
         """Array bounds are kept as tuples of floats, so configs built from
         equal arrays are equal and hash alike; scalars stay floats."""

@@ -140,6 +140,16 @@ def test_one_kernel_and_posterior_arithmetic():
     assert callers_of("cumsum") == {("gp.py", "_column_sums"), ("pseudo.py", "_p_and_s")}
 
 
+def test_one_libm_route_for_pi_and_ei():
+    # pi and ei reach libm's erf and exp only through _cdf and _pdf, on both
+    # of AcquisitionSpec.values' paths.  numpy's exp and scipy's erf round
+    # differently and would move the pi and ei search trajectories.
+    assert callers_of("_cdf") == callers_of("_pdf") == {("acquisition.py", "AcquisitionSpec")}
+    assert callers_of("_libm") == {("acquisition.py", "_cdf"), ("acquisition.py", "_pdf")}
+    for name in ("erf", "exp", "ndtr"):
+        assert not {where for where in callers_of(name) if where[0] == "acquisition.py"}, name
+
+
 def test_one_fit_preset():
     # run_bopp builds each run's FitConfig from its domain; besides it, only
     # gp.fit's default argument constructs one.

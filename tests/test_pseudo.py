@@ -264,6 +264,50 @@ class TestAugmentedPosterior:
         ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
         assert np.all((ratios >= 8) & (ratios <= 12)), gaps
 
+    def test_pairs_are_a_mean_and_a_difference_observation(self):
+        # A parent (x, y) and its pseudo row (x', y), each with noise s^2, carry
+        # the information of two other observations: the pair's mean
+        # (f(x) + f(x')) / 2 observed as y with noise s^2 / 2, and
+        # f(x') - f(x) observed as 0 with noise 2 s^2.  The dense posterior
+        # from those, built from kernel_matrix alone, is the augmented one.
+        rng = np.random.default_rng(2020)
+        flips = clips = 0
+        for _ in range(300):
+            d, n = int(rng.integers(1, 5)), int(rng.integers(1, 12))
+            params = KernelParams(lengthscales=rng.uniform(0.2, 1.5, d),
+                                  amplitude=float(rng.uniform(0.5, 2.0)),
+                                  noise_variance=float(10.0 ** rng.uniform(-4, -1)))
+            points = rng.uniform(-1, 1, (n, d))
+            # Coordinates on the boundary make the placement flip and, when
+            # tau exceeds the box, clip.
+            edge = rng.random((n, d)) < 0.3
+            points[edge] = rng.choice([-1.0, 1.0], size=int(edge.sum()))
+            data = Dataset(points, rng.normal(size=n))
+            pp = pseudo.generate(data, PseudoSchedule(float(10.0 ** rng.uniform(-2, np.log10(5)))),
+                                 unit_symmetric(d), rng)
+            augmented = pseudo.augmented_model(gp.build_model(data, params), pp)
+            queries = rng.uniform(-1, 1, (20, d))
+            mean, var = gp.predict(augmented, queries)
+
+            parents = data.points[pp.parent_index]
+            steps = np.abs(pp.points - parents)
+            clips += int(np.sum(steps < pp.tau * (1 - 1e-9)))
+            flips += int(np.sum((np.abs(parents) + pp.tau > 1.0) & (np.abs(parents) - pp.tau >= -1.0)))
+            # f at the parents, then at the pseudo rows, mapped to (pair mean, difference).
+            half, eye = 0.5 * np.eye(n), np.eye(n)
+            transform = np.block([[half, half], [-eye, eye]])
+            stacked = np.vstack([parents, pp.points])
+            noise = params.noise_variance + augmented.jitter  # the jitter sits on every row
+            cov = transform @ gp.kernel_matrix(stacked, stacked, params) @ transform.T
+            cov += np.diag(np.concatenate([np.full(n, noise / 2), np.full(n, 2 * noise)]))
+            cross = transform @ gp.kernel_matrix(stacked, queries, params)
+            observed = np.concatenate([pp.values, np.zeros(n)])
+            dense_mean = cross.T @ np.linalg.solve(cov, observed)
+            dense_var = params.amplitude - np.sum(cross * np.linalg.solve(cov, cross), axis=0)
+            np.testing.assert_allclose(mean, dense_mean, rtol=0, atol=1e-8)
+            np.testing.assert_allclose(var, dense_var, rtol=0, atol=1e-8)
+        assert flips > 0 and clips > 0
+
 
 class TestVarianceReduction:
     def test_empty_set_is_zero(self):
